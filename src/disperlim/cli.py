@@ -123,13 +123,15 @@ def _cmd_ep(args) -> int:
                             poisson_tol=float(st.get("poisson_tol", 1e-11)),
                             max_newton=int(st.get("max_newton", 25)),
                             c_cfl=float(st.get("c_cfl", 0.5)))
+    if cfg.get("truncation_order", 1) != 1:
+        raise ConfigurationError(
+            "ep prepares first-order data only; truncation_order must be 1 "
+            f"(order 2 runs go through converge), got {cfg['truncation_order']!r}")
     n1 = _initial_field(cfg, grid, params.wave_speed, args.seed)
-    order = int(cfg.get("truncation_order", 1))
     if grid.ndim == 2:
         h = first_order_profiles_kp(n1, params.wave_speed)
     else:
         h = first_order_profiles_zk(n1, params.wave_speed)
-    del order  # order-2 preparation goes through the study driver
     state = assemble_initial_data(h, params,
                                   poisson_tol=stepper.poisson_tol)
     final, log = run_ep(state, float(cfg["T"]), stepper,

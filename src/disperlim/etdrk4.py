@@ -3,52 +3,50 @@
 The stiff linear part is integrated exactly through ``exp`` and the phi
 functions; only the nonlinear residual sees Runge-Kutta stages.  The phi
 functions have removable singularities at the origin, so for small arguments
-they are evaluated by averaging over a unit circle around the argument
-(exact for entire functions, free of cancellation), and by the closed form
-elsewhere.
+phi_3 is summed from its Taylor series by a fixed-length Horner scheme and
+phi_2, phi_1 follow from the recurrence ``phi_k = 1/k! + z*phi_{k+1}``, which
+is free of cancellation there; larger arguments use the closed form.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 __all__ = ["phi_functions", "etdrk4_tables", "DiagonalETDRK4"]
 
-_CONTOUR_POINTS = 32
-_CONTOUR_CUTOFF = 0.75
+_SERIES_CUTOFF = 0.75
+# Taylor coefficients 1/(j+1)! of phi_1, highest power first; below the
+# cutoff the first term left out is under 1e-24 of phi_1 and of phi_3
+_INV_FACT = tuple(1.0 / math.factorial(j + 1) for j in reversed(range(22)))
 
 
-def _phi_closed(z):
-    ez = np.exp(z)
-    z2 = z * z
-    z3 = z2 * z
-    return ((ez - 1.0) / z,
-            (ez - 1.0 - z) / z2,
-            (ez - 1.0 - z - 0.5 * z2) / z3)
+def _phis(z, count):
+    """``[phi_1, .., phi_count]`` (count 1 or 3) of a flat complex array."""
+    small = np.abs(z) < _SERIES_CUTOFF
+    zs = np.where(small, z, 0.0)
+    split = len(_INV_FACT) + 1 - count    # phi_count's coefficients end here
+    top = np.full_like(zs, _INV_FACT[0])
+    for c in _INV_FACT[1:split]:          # Horner for phi_count
+        top *= zs
+        top += c
+    phis = [top]
+    for c in _INV_FACT[split:]:           # phi_k = 1/k! + z*phi_{k+1}
+        phis.insert(0, zs * phis[0] + c)
+    if not small.all():
+        zb = z[~small]
+        closed = (np.exp(zb) - 1.0) / zb
+        for k, p in enumerate(phis):
+            p[~small] = closed
+            closed = (closed - _INV_FACT[-1 - k]) / zb
+    return phis
 
 
 def phi_functions(z):
     """phi_1, phi_2, phi_3 evaluated elementwise on a complex array."""
     z = np.asarray(z, dtype=np.complex128)
-    p1 = np.empty_like(z)
-    p2 = np.empty_like(z)
-    p3 = np.empty_like(z)
-
-    small = np.abs(z) < _CONTOUR_CUTOFF
-    if np.any(small):
-        theta = (np.arange(_CONTOUR_POINTS) + 0.5) * (2.0 * np.pi / _CONTOUR_POINTS)
-        circle = np.exp(1j * theta)
-        pts = z[small][..., None] + circle
-        c1, c2, c3 = _phi_closed(pts)
-        p1[small] = c1.mean(axis=-1)
-        p2[small] = c2.mean(axis=-1)
-        p3[small] = c3.mean(axis=-1)
-    if np.any(~small):
-        c1, c2, c3 = _phi_closed(z[~small])
-        p1[~small] = c1
-        p2[~small] = c2
-        p3[~small] = c3
-    return p1, p2, p3
+    return tuple(p.reshape(z.shape) for p in _phis(z.ravel(), 3))
 
 
 def etdrk4_tables(lin_dt):
@@ -56,41 +54,40 @@ def etdrk4_tables(lin_dt):
 
     Returns ``(E, E2, Q, f1, f2, f3)``: full/half-step exponentials, the
     half-step phi_1 weight, and the three Cox-Matthews update weights, all
-    already scaled so the update reads
+    scaled so that, once each weight is multiplied by dt, the update reads
 
         a = E2*u + Q*N(u)
         b = E2*u + Q*N(a)
         c = E2*a + Q*(2*N(b) - N(u))
         u' = E*u + f1*N(u) + 2*f2*(N(a) + N(b)) + f3*N(c)
-
-    with every weight carrying the factor dt.
     """
     z = np.asarray(lin_dt, dtype=np.complex128)
-    E = np.exp(z)
-    E2 = np.exp(0.5 * z)
-    half1, _, _ = phi_functions(0.5 * z)
-    p1, p2, p3 = phi_functions(z)
-    Q = 0.5 * half1          # dt * phi1(z/2) once multiplied by dt below
+    E, E2 = np.exp(z), np.exp(0.5 * z)
+    (Q,) = _phis(0.5 * z.ravel(), 1)
+    Q *= 0.5
+    p1, p2, p3 = _phis(z.ravel(), 3)
     f1 = p1 - 3.0 * p2 + 4.0 * p3
     f2 = p2 - 2.0 * p3
     f3 = 4.0 * p3 - p2
-    return E, E2, Q, f1, f2, f3
+    return (E, E2) + tuple(a.reshape(z.shape) for a in (Q, f1, f2, f3))
 
 
 class DiagonalETDRK4:
     """ETDRK4 stepper for a diagonal (per-mode) linear symbol.
 
     ``symbol`` is the elementwise linear operator L (tendency = L*v + N(v)),
-    ``nonlinear`` maps ``(v_hat, t) -> N_hat``.
+    ``nonlinear`` maps ``(v_hat, t) -> N_hat``.  This is the one ETDRK4
+    stage routine of the package: the limit models step their Fourier
+    coefficients with it and the Euler-Poisson engine its eigen-coordinates.
     """
 
     def __init__(self, symbol, dt, nonlinear):
         self.dt = float(dt)
         self.nonlinear = nonlinear
-        E, E2, Q, f1, f2, f3 = etdrk4_tables(symbol * self.dt)
-        self.E, self.E2 = E, E2
-        self.Q = self.dt * Q
-        self.f1, self.f2, self.f3 = self.dt * f1, self.dt * f2, self.dt * f3
+        self.E, self.E2, self.Q, self.f1, self.f2, self.f3 = etdrk4_tables(
+            symbol * self.dt)
+        for weight in (self.Q, self.f1, self.f2, self.f3):
+            weight *= self.dt
 
     def step(self, v, t):
         half = t + 0.5 * self.dt

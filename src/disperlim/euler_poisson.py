@@ -17,13 +17,14 @@ eigendecomposition with perfectly conditioned (unitary) eigenvectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft as _fftmod
 
 from .errors import ConfigurationError, NumericalError
-from .etdrk4 import etdrk4_tables
+from .etdrk4 import DiagonalETDRK4
 from .grid import Grid, RealField, ScalingParams
 from .poisson import poisson_residual, solve_poisson_values
 from .spectral import (dealias_mask, deriv_factor, fft_c, ifft_c,
@@ -142,8 +143,13 @@ def linearized_symbol(kvec, params: ScalingParams) -> np.ndarray:
 class EPIntegrator:
     """Bound ETDRK4 engine: grid + scaling + stepper tables.
 
-    Works on spectral stacks of shape ``(*dims, d+1)``, components ordered
-    ``(n, u1, .., ud)``, mean-normalized coefficients.
+    Takes and returns spectral stacks of shape ``(d+1, *dims)``, components
+    ordered ``(n, u1, .., ud)``, mean-normalized coefficients.  Internally it
+    steps the eigen-coordinates ``w = U^H D v`` of the linear symbol, in which
+    the linear part is the diagonal ``Lambda = (i/eps) * omega``: a run
+    changes basis once on entry and once on exit, and each stage changes
+    basis twice around the tendency.  The ETDRK4 stages themselves are
+    :class:`~disperlim.etdrk4.DiagonalETDRK4`'s.
     """
 
     def __init__(self, grid: Grid, params: ScalingParams, cfg: StepperConfig):
@@ -158,17 +164,10 @@ class EPIntegrator:
         self.params = params
         self.cfg = cfg
         d = params.dim
-        self.ncomp = d + 1
-        eps = params.epsilon
-
         self.mask = dealias_mask(grid)
         self.k = [grid.wavenumber(a) for a in range(d)]
         self.ik = [deriv_factor(grid, a, 1) for a in range(d)]
-        kw2 = weighted_ksq(grid, params)
-        self.response = 1.0 / (1.0 + eps * kw2)
-        csq = params.ion_temperature + self.response
-        self.c = np.sqrt(csq)
-        self.sqeps = math.sqrt(eps)
+        self.sqeps = math.sqrt(params.epsilon)
         # transverse weights of the anisotropic derivatives
         self.wts = [1.0] + [self.sqeps if d == 2 else 1.0] * (d - 1)
 
@@ -179,55 +178,40 @@ class EPIntegrator:
 
     def _build_propagator(self):
         d, grid, params = self.params.dim, self.grid, self.params
-        shape = grid.shape
-        m = self.ncomp
+        shape, m = grid.shape, d + 1
         # Hermitian representative H with L = (1/eps) * Dinv @ (iH) @ D,
-        # D = diag(c, 1, .., 1).
+        # D = diag(c, 1, .., 1), c the local sound factor
+        c = np.sqrt(params.ion_temperature
+                    + 1.0 / (1.0 + params.epsilon * weighted_ksq(grid, params)))
         H = np.zeros(shape + (m, m), dtype=np.complex128)
         vk1 = params.wave_speed * self.k[0]
         for j in range(m):
             H[..., j, j] = vk1
         for j in range(d):
-            coupling = -self.c * self.wts[j] * np.broadcast_to(self.k[j], shape)
+            coupling = -c * self.wts[j] * np.broadcast_to(self.k[j], shape)
             H[..., 0, 1 + j] = coupling
             H[..., 1 + j, 0] = coupling
         if params.magnetic:
             H[..., 2, 3] += -1j / self.sqeps
             H[..., 3, 2] += 1j / self.sqeps
         omega, basis = np.linalg.eigh(H)
-        self.omega = omega            # (*dims, m), real
-        self.basis = basis            # (*dims, m, m), unitary
-        z = (1j * self.cfg.dt / params.epsilon) * omega
-        E, E2, Q, f1, f2, f3 = etdrk4_tables(z)
-        dt = self.cfg.dt
-        gvals = {"E": E, "E2": E2, "Q": dt * Q,
-                 "f1": dt * f1, "f2": dt * f2, "f3": dt * f3,
-                 "L": (1j / params.epsilon) * omega}
-        # materialize D^-1 U diag(g) U^H D per mode, stored component-leading
-        # so an application is m*m contiguous elementwise multiply-adds
-        basis_h = np.conj(np.swapaxes(basis, -1, -2))
-        cinv = 1.0 / self.c
-        self.operators = {}
-        for key, g in gvals.items():
-            op = np.matmul(basis * g[..., None, :], basis_h)
-            op[..., 0, :] *= cinv[..., None]
-            op[..., :, 0] *= self.c[..., None]
-            self.operators[key] = np.ascontiguousarray(np.moveaxis(op, (-2, -1), (0, 1)))
-
-    def apply_op(self, key: str, stack: np.ndarray) -> np.ndarray:
-        """Apply a precomputed per-mode matrix function of L to a stack."""
-        op = self.operators[key]
-        out = np.empty_like(stack)
-        for i in range(self.ncomp):
-            acc = op[i, 0] * stack[0]
-            for j in range(1, self.ncomp):
-                acc += op[i, j] * stack[j]
-            out[i] = acc
-        return out
-
-    def apply_linear(self, stack: np.ndarray) -> np.ndarray:
-        """Action of L = M/eps on a stack (used to form nonlinear residuals)."""
-        return self.apply_op("L", stack)
+        del H
+        # per-mode basis changes D^-1 U and U^H D, stored component-leading
+        # so a change is m*m contiguous elementwise multiply-adds
+        to_eigen = np.conj(np.swapaxes(basis, -1, -2))
+        to_eigen[..., :, 0] *= c[..., None]
+        basis[..., 0, :] /= c[..., None]
+        self.from_eigen = np.ascontiguousarray(np.moveaxis(basis, (-2, -1), (0, 1)))
+        self.to_eigen = np.ascontiguousarray(np.moveaxis(to_eigen, (-2, -1), (0, 1)))
+        del basis, to_eigen
+        self.symbol = np.ascontiguousarray(
+            np.moveaxis((1j / params.epsilon) * omega, -1, 0))
+        self._warm = None
+        # the stepper calls back through a weak proxy: no reference cycle, so
+        # a dropped engine's tables are freed at once, not at the next gc
+        engine = weakref.proxy(self)
+        self.stepper = DiagonalETDRK4(self.symbol, self.cfg.dt,
+                                      lambda w, t: engine.nonlinear(w, t))
 
     def _build_filter(self):
         if self.cfg.hyperviscosity is None:
@@ -242,11 +226,7 @@ class EPIntegrator:
     # -- state conversion ----------------------------------------------------
 
     def to_stack(self, state: EPState) -> np.ndarray:
-        stack = np.empty((self.ncomp,) + self.grid.shape, dtype=np.complex128)
-        stack[0] = fft_c(state.n.values, self.grid)
-        for j, comp in enumerate(state.u):
-            stack[1 + j] = fft_c(comp.values, self.grid)
-        return stack
+        return np.stack([fft_c(f.values, self.grid) for f in (state.n,) + state.u])
 
     def from_stack(self, stack: np.ndarray, phi: np.ndarray, time: float) -> EPState:
         n = RealField(self.grid, ifft_c(stack[0], self.grid))
@@ -323,30 +303,29 @@ class EPIntegrator:
         out[1:] /= eps
         return out, phi
 
-    def nonlinear(self, stack: np.ndarray, phi_warm: np.ndarray):
-        full, phi = self.tendency(stack, phi_warm)
-        return full - self.apply_linear(stack), phi
+    def nonlinear(self, w: np.ndarray, _t: float) -> np.ndarray:
+        """Nonlinear residual in eigen-coordinates, ``U^H D F(D^-1 U w) -
+        Lambda w``; the stage potential is kept as the next stage's warm
+        start."""
+        full, self._warm = self.tendency(_change_basis(self.from_eigen, w),
+                                         self._warm)
+        out = _change_basis(self.to_eigen, full)
+        out -= self.symbol * w
+        return out
 
     # -- stepping ------------------------------------------------------------
 
-    def _step_raw(self, stack: np.ndarray, phi: np.ndarray):
-        """One ETDRK4 step; the returned potential is the last stage's (it is
-        the warm start for the next stage, not yet consistent with the new
-        density)."""
-        n1, phi = self.nonlinear(stack, phi)
-        e2u = self.apply_op("E2", stack)
-        a = e2u + self.apply_op("Q", n1)
-        n2, phi = self.nonlinear(a, phi)
-        b = e2u + self.apply_op("Q", n2)
-        n3, phi = self.nonlinear(b, phi)
-        c = self.apply_op("E2", a) + self.apply_op("Q", 2.0 * n3 - n1)
-        n4, phi = self.nonlinear(c, phi)
-        new = (self.apply_op("E", stack) + self.apply_op("f1", n1)
-               + self.apply_op("f2", 2.0 * (n2 + n3))
-               + self.apply_op("f3", n4))
-        if self._filter is not None:
-            new = new * self._filter
-        return new, phi
+    def _march(self, stack: np.ndarray, phi: np.ndarray, nsteps: int):
+        """nsteps ETDRK4 steps in eigen-coordinates; the returned potential
+        is the last stage's (the warm start for a consistency solve)."""
+        w = _change_basis(self.to_eigen, stack)
+        self._warm = phi
+        for _ in range(nsteps):
+            w = self.stepper.step(w, 0.0)
+            if self._filter is not None:
+                w *= self._filter
+        phi, self._warm = self._warm, None
+        return _change_basis(self.from_eigen, w), phi
 
     def _resolve_phi(self, stack: np.ndarray, phi: np.ndarray) -> np.ndarray:
         n_new = ifft_c(stack[0], self.grid)
@@ -360,7 +339,7 @@ class EPIntegrator:
 
     def step_stack(self, stack: np.ndarray, phi: np.ndarray):
         """One step with the potential re-established at the new time."""
-        stack, phi = self._step_raw(stack, phi)
+        stack, phi = self._march(stack, phi, 1)
         return stack, self._resolve_phi(stack, phi)
 
     def advance(self, stack: np.ndarray, phi: np.ndarray, nsteps: int):
@@ -372,9 +351,20 @@ class EPIntegrator:
         """
         if nsteps <= 0:
             return stack, phi
-        for _ in range(nsteps):
-            stack, phi = self._step_raw(stack, phi)
+        stack, phi = self._march(stack, phi, nsteps)
         return stack, self._resolve_phi(stack, phi)
+
+
+def _change_basis(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Per-mode matrix-vector product of a component-leading ``(m, m, *dims)``
+    matrix field with an ``(m, *dims)`` stack."""
+    out = np.empty_like(stack)
+    for i in range(len(stack)):
+        acc = mat[i, 0] * stack[0]
+        for j in range(1, len(stack)):
+            acc += mat[i, j] * stack[j]
+        out[i] = acc
+    return out
 
 
 def ep_rhs(state: EPState, cfg: StepperConfig = None):
@@ -431,9 +421,7 @@ def run_ep(initial: EPState, T: float, cfg: StepperConfig,
     nsteps = max(1, math.ceil(T / cfg.dt - 1e-9))
     dt = T / nsteps
     if abs(dt - cfg.dt) > 1e-12 * cfg.dt:
-        cfg = StepperConfig(dt=dt, poisson_tol=cfg.poisson_tol,
-                            max_newton=cfg.max_newton, c_cfl=cfg.c_cfl,
-                            hyperviscosity=cfg.hyperviscosity)
+        cfg = replace(cfg, dt=dt)
         engine = EPIntegrator(initial.grid, initial.params, cfg)
 
     snapshots = max(1, int(snapshots))
@@ -459,9 +447,7 @@ def run_ep(initial: EPState, T: float, cfg: StepperConfig,
                 f"blow-up guard tripped at t = {time:.6g}: "
                 f"||n-1||_H2 = {h2:.3e} exceeds 10x initial {guard0:.3e}")
         if engine._filter is None and _tail_fraction(stack[0], engine) > tail_guard:
-            engine.cfg = StepperConfig(dt=cfg.dt, poisson_tol=cfg.poisson_tol,
-                                       max_newton=cfg.max_newton, c_cfl=cfg.c_cfl,
-                                       hyperviscosity=(2.0 ** 4, 4))
+            engine.cfg = replace(cfg, hyperviscosity=(2.0 ** 4, 4))
             engine._filter = engine._build_filter()
             record["tail_damping_enabled"] = True
 

@@ -140,6 +140,9 @@ def save_hierarchy(directory, h) -> None:
         manifest_fields["source_evolution"] = "source_evolution.fld"
     write_json(os.path.join(directory, "manifest.json"), {
         "order": h.order, "d": h.d, "V": h.V, "time": h.time,
+        "coeffs": {"nonlinear": h.coeffs.nonlinear,
+                   "transverse": h.coeffs.transverse,
+                   "bilinear": h.coeffs.bilinear},
         "epsilon_independent": True,
         "fields": manifest_fields,
     })
@@ -162,8 +165,10 @@ def load_hierarchy(directory):
         else:
             fields[name] = f.values
     d = int(manifest["d"])
+    # manifests written before the coefficients were stored get the defaults
     coeffs = LimitCoefficients.for_equation("KP2" if d == 2 else "ZK",
-                                            float(manifest["V"]))
+                                            float(manifest["V"]),
+                                            **manifest.get("coeffs", {}))
     return ProfileHierarchy(grid=grid, d=d, order=int(manifest["order"]),
                             time=float(manifest["time"]), coeffs=coeffs,
                             fields=fields, aux=aux, source_evolution=source)

@@ -2,10 +2,13 @@
 
 Solves ``eps * lap_w(phi) = exp(phi) - n`` for the potential, where
 ``lap_w`` is the anisotropic Laplacian of :func:`~disperlim.spectral.weighted_laplacian`.
-The Jacobian systems ``(eps*lap_w - diag(exp(phi))) delta = -r`` are solved by
-a Richardson iteration preconditioned with the constant-coefficient symbol
-``(eps*|k_w|^2 + 1)^-1``; the inner residual is available in closed form from
-the iteration increment, so no extra transforms are spent on monitoring.
+The Jacobian systems ``(eps*lap_w - diag(w)) delta = -r``, ``w = exp(phi)``,
+are solved by a Richardson iteration preconditioned with the
+constant-coefficient symbol ``(eps*|k_w|^2 + wbar)^-1``, where ``wbar`` is the
+midrange of ``w``.  It contracts by at most ``(max w - min w)/(max w + min w)
+< 1`` per sweep for every positive ``w``, so the solve holds at any density
+contrast.  The inner residual is available in closed form from the iteration
+increment, so no extra transforms are spent on monitoring.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ def solve_poisson_values(n: np.ndarray, grid: Grid, params: ScalingParams,
     if np.min(n) <= 0.0:
         raise NumericalError("density must be positive for the potential solve")
     ksq = weighted_ksq(grid, params)
-    precond = 1.0 / (params.epsilon * ksq + 1.0)
     scale = _l2(n, grid)
     target = tol * scale
 
@@ -60,6 +62,9 @@ def solve_poisson_values(n: np.ndarray, grid: Grid, params: ScalingParams,
         lap = ifft_c(-ksq * fft_c(phi, grid), grid)
         r = params.epsilon * lap - w + n
         rnorm = _l2(r, grid)
+        if not math.isfinite(rnorm):
+            raise NumericalError("potential solve produced a non-finite iterate "
+                                 f"or residual at Newton iteration {iteration}")
         residuals.append(rnorm)
         if rnorm <= target:
             return phi, {"residuals": residuals, "newton_iterations": iteration,
@@ -68,10 +73,13 @@ def solve_poisson_values(n: np.ndarray, grid: Grid, params: ScalingParams,
             break
 
         # inner: (eps*lap_w - diag(w)) delta = -r, preconditioned Richardson.
-        # After an update, the inner residual equals (w-1)*(delta_old-delta_new),
-        # so convergence is monitored without extra transforms.
-        wm1 = w - 1.0
-        wsup = float(np.max(np.abs(wm1)))
+        # After an update, the inner residual equals
+        # (w-wbar)*(delta_old-delta_new), so convergence is monitored without
+        # extra transforms.
+        wbar = 0.5 * (float(np.max(w)) + float(np.min(w)))
+        precond = 1.0 / (params.epsilon * ksq + wbar)
+        wdev = w - wbar
+        wsup = float(np.max(np.abs(wdev)))
         # inexact Newton: inner accuracy tied to the predicted quadratic
         # decrease, floored well under the outer target
         inner_target = max(0.05 * target,
@@ -79,10 +87,12 @@ def solve_poisson_values(n: np.ndarray, grid: Grid, params: ScalingParams,
         delta = np.zeros_like(phi)
         for sweep in range(200):
             inner_total += 1
-            new = ifft_c(precond * fft_c(r - wm1 * delta, grid), grid)
+            new = ifft_c(precond * fft_c(r - wdev * delta, grid), grid)
             increment = _l2(new - delta, grid)
             delta = new
-            if wsup * increment <= inner_target or increment == 0.0:
+            # written so a non-finite update also stops; the residual check
+            # of the next Newton iteration then raises
+            if not wsup * increment > inner_target:
                 break
         phi = phi + delta
 

@@ -87,6 +87,18 @@ def test_ep_subcommand(tmp_path):
     assert log[-1]["min_n"] > 0.5
 
 
+def test_ep_rejects_truncation_order_2(tmp_path, capsys):
+    cfg = _write(tmp_path / "ep.json", {
+        "schema_version": 1, "grid": GRID2,
+        "params": {"epsilon": 0.1, "ion_temperature": 1.0},
+        "initial": FAMILY, "T": 0.01, "snapshots": 2, "truncation_order": 2,
+        "stepper": {"dt": 2e-3}})
+    out = tmp_path / "ep_out"
+    assert cli_main(["ep", "--config", cfg, "--out", str(out)]) == 1
+    assert "truncation_order" in capsys.readouterr().err
+    assert not (out / "n_final.fld").exists()
+
+
 def test_converge_outputs_and_determinism(tmp_path):
     cfg = _write(tmp_path / "study.json", {
         "schema_version": 1, "d": 2, "ion_temperature": 1.0,

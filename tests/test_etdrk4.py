@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from disperlim.etdrk4 import DiagonalETDRK4, phi_functions
+from disperlim.etdrk4 import DiagonalETDRK4, etdrk4_tables, phi_functions
 
 
 def _phi_reference(z, terms=60):
@@ -29,6 +31,40 @@ def test_phi_functions_accuracy(z):
     ref = _phi_reference(np.array([z], dtype=complex))
     for g, r in zip(got, ref):
         assert np.abs(g - r).max() < 1e-13 * max(1.0, np.abs(r).max())
+
+
+def test_phi_functions_dense_disk():
+    # a lattice over |z| <= 2, the imaginary axis (the undamped EP and limit
+    # symbols) and the left half plane (hyperviscous damping), with points
+    # on both sides of the series/closed-form switch at |z| = 0.75
+    re, im = np.meshgrid(np.linspace(-2.0, 2.0, 81), np.linspace(-2.0, 2.0, 81))
+    lattice = (re + 1j * im).ravel()
+    ring = np.outer([0.749, 0.7499999, 0.75, 0.751],
+                    np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64))).ravel()
+    zs = np.concatenate([lattice[np.abs(lattice) <= 2.0],
+                         1j * np.linspace(-2.0, 2.0, 401),
+                         -np.linspace(0.0, 1.9, 96) + 0.5j, ring])
+    got = phi_functions(zs)
+    ref = _phi_reference(zs)
+    for g, r in zip(got, ref):
+        assert g.shape == zs.shape
+        assert np.max(np.abs(g - r) / np.abs(r)) < 1e-13
+
+
+def test_tables_peak_memory_is_a_small_multiple_of_the_input():
+    # the tables are six outputs the size of the input; building them must
+    # not hold many more (a contour average over 32 points peaks at over
+    # 200 times the input)
+    rng = np.random.default_rng(3)
+    z = 1j * rng.uniform(-1.0, 1.0, 10 ** 5) - rng.uniform(0.0, 0.2, 10 ** 5)
+    tracemalloc.start()
+    try:
+        tables = etdrk4_tables(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == 6 and all(t.shape == z.shape for t in tables)
+    assert peak < 16 * z.nbytes
 
 
 def test_phi_continuity_at_cutoff():

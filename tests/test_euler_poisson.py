@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,6 +8,7 @@ import disperlim as dl
 from disperlim import (ConfigurationError, EPState, NumericalError, RealField,
                        ScalingParams, StepperConfig, ep_rhs, linearized_symbol,
                        run_ep, step_ep, solve_poisson)
+from disperlim.euler_poisson import EPIntegrator
 from disperlim.spectral import fft_c
 
 
@@ -64,7 +67,6 @@ class TestSteadyState:
         dt = 0.4 * eps * min(g.spacings)
         state = _rest_state(g, p)
         cfg = StepperConfig(dt=dt)
-        from disperlim.euler_poisson import EPIntegrator
         eng = EPIntegrator(g, p, cfg)
         stack = eng.to_stack(state)
         stack, phi = eng.advance(stack, state.phi.values, 100)
@@ -144,6 +146,33 @@ class TestStepping:
         got = [fft_c(final.n.values - 1.0, g)[kidx]]
         got += [fft_c(final.u[j].values, g)[kidx] for j in range(dim)]
         assert np.max(np.abs(np.array(got) - XT)) / amp < 1e-8
+
+    def test_engine_advance_matches_matrix_exponential_3d(self, grid3d):
+        # the engine alone, on a magnetic cold single mode: every component
+        # of the advanced stack against expm of the linear symbol
+        eps, amp, kidx, steps = 0.1, 1e-6, (1, 1, 2), 30
+        p = ScalingParams(epsilon=eps, ion_temperature=0.0, dim=3)
+        state = _single_mode_state(grid3d, p, amp, kidx)
+        dt = 0.4 * eps * min(grid3d.spacings)
+        engine = EPIntegrator(grid3d, p, StepperConfig(dt=dt, poisson_tol=1e-13))
+        stack = engine.to_stack(state)
+        out, _ = engine.advance(stack, state.phi.values, steps)
+        assert out.shape == stack.shape
+        X0 = np.zeros(4, dtype=complex)
+        X0[0] = amp / 2
+        XT = expm(linearized_symbol(tuple(float(k) for k in kidx), p)
+                  * (steps * dt / eps)) @ X0
+        got = out[(slice(None),) + kidx]
+        assert np.max(np.abs(got - XT)) / amp < 1e-8
+
+    def test_dropped_engine_is_freed_at_once(self, grid2d):
+        # no reference cycle between the engine and its stepper: the tables
+        # go with the last reference, not at the next garbage collection
+        p = ScalingParams(epsilon=0.1, ion_temperature=1.0, dim=2)
+        engine = EPIntegrator(grid2d, p, StepperConfig(dt=1e-3))
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
 
     def test_mass_conserved_per_step(self, grid2d):
         p = ScalingParams(epsilon=0.1, ion_temperature=1.0, dim=2)

@@ -82,3 +82,26 @@ def test_hierarchy_round_trip(tmp_path):
         assert np.array_equal(back.fields[name], h.fields[name])
     for name in h.aux:
         assert np.array_equal(back.aux[name], h.aux[name])
+
+
+def test_hierarchy_round_trip_keeps_coefficients(tmp_path):
+    from dataclasses import replace
+    g = dl.build_grid([32, 32], [40.0, 40.0])
+    n1 = gaussian_zero_mean(g, amplitude=0.3, width=3.0)
+    h = first_order_profiles_kp(n1, np.sqrt(2.0))
+    h = replace(h, coeffs=replace(h.coeffs, transverse=0.37, bilinear=1.25))
+    save_hierarchy(tmp_path / "hier", h)
+    back = load_hierarchy(tmp_path / "hier")
+    assert back.coeffs == h.coeffs
+
+
+def test_hierarchy_without_stored_coefficients_gets_defaults(tmp_path):
+    g = dl.build_grid([32, 32], [40.0, 40.0])
+    n1 = gaussian_zero_mean(g, amplitude=0.3, width=3.0)
+    h = first_order_profiles_kp(n1, np.sqrt(2.0))
+    d = tmp_path / "hier"
+    save_hierarchy(d, h)
+    manifest = json.load(open(d / "manifest.json"))
+    del manifest["coeffs"]
+    json.dump(manifest, open(d / "manifest.json", "w"))
+    assert load_hierarchy(d).coeffs == h.coeffs

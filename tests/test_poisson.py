@@ -82,3 +82,42 @@ def test_stagnation_raises(grid2d, params2d):
     with pytest.raises(ConvergenceError) as err:
         solve_poisson(n, params2d, tol=1e-13, max_newton=1)
     assert err.value.residual > 0
+
+
+@pytest.mark.parametrize("amp", [0.8, 0.9, 0.99])
+def test_high_contrast_2d(amp):
+    # max n up to 1.99: past where a preconditioner built on exp(phi) ~ 1
+    # stops contracting
+    g = dl.build_grid([128, 128], [2 * np.pi] * 2)
+    p = ScalingParams(epsilon=0.1, ion_temperature=1.0, dim=2)
+    _, y = g.meshgrid()
+    n = RealField(g, 1.0 + amp * np.sin(y))
+    phi, info = solve_poisson(n, p, tol=1e-11, return_info=True)
+    scale = np.sqrt(np.mean(n.values ** 2) * g.volume)
+    assert poisson_residual(n.values, phi.values, g, p) <= 1e-11 * scale
+    assert info["inner_sweeps"] < 400
+
+
+def test_high_contrast_3d():
+    g = dl.build_grid([32, 32, 32], [2 * np.pi] * 3)
+    p = ScalingParams(epsilon=0.1, ion_temperature=0.0, dim=3)
+    x, y, z = g.meshgrid()
+    n = RealField(g, 1.0 + 0.8 * np.sin(x + y + z))
+    phi, info = solve_poisson(n, p, tol=1e-11, return_info=True)
+    scale = np.sqrt(np.mean(n.values ** 2) * g.volume)
+    assert poisson_residual(n.values, phi.values, g, p) <= 1e-11 * scale
+    assert info["inner_sweeps"] < 200
+
+
+@pytest.mark.parametrize("case", ["nan_density", "overflowing_start"])
+def test_non_finite_is_numerical_error(grid2d, params2d, case):
+    from disperlim.poisson import solve_poisson_values
+    x, _ = grid2d.meshgrid()
+    n = 1.0 + 0.1 * np.sin(x)
+    warm = None
+    if case == "nan_density":
+        n[3, 4] = np.nan
+    else:
+        warm = np.full(grid2d.shape, 800.0)   # exp overflows to inf
+    with pytest.raises(NumericalError), np.errstate(over="ignore"):
+        solve_poisson_values(n, grid2d, params2d, warm_start=warm)
