@@ -12,6 +12,12 @@ Per mode the linear matrix is similar, via scaling the density row by the
 local sound factor ``c(k) = sqrt(T_i + 1/(1 + eps|k_w|^2))``, to i times a
 Hermitian matrix -- so its eigensystem is computed by a batched Hermitian
 eigendecomposition with perfectly conditioned (unitary) eigenvectors.
+
+Every field is real, so the engine works on the half spectrum of a real
+transform (last axis ``0 .. n/2``): its tables, eigenbasis and ETDRK4 weights
+cover only those modes, and the tendency transforms with ``rfftn``/``irfftn``.
+Stacks passed in and out are in the full layout; a run cuts them down once on
+entry and rebuilds a Hermitian full stack once on exit.
 """
 
 from __future__ import annotations
@@ -21,14 +27,13 @@ import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft as _fftmod
 
 from .errors import ConfigurationError, NumericalError
 from .etdrk4 import DiagonalETDRK4
 from .grid import Grid, RealField, ScalingParams
 from .poisson import poisson_residual, solve_poisson_values
-from .spectral import (dealias_mask, deriv_factor, fft_c, ifft_c,
-                       sobolev_norm_c, weighted_ksq)
+from .spectral import (dealias_mask, deriv_factor, fft_c, half, ifft_c,
+                       irfft_c, rfft_c, sobolev_norm_c, weighted_ksq)
 
 __all__ = [
     "EPState",
@@ -144,11 +149,12 @@ class EPIntegrator:
     """Bound ETDRK4 engine: grid + scaling + stepper tables.
 
     Takes and returns spectral stacks of shape ``(d+1, *dims)``, components
-    ordered ``(n, u1, .., ud)``, mean-normalized coefficients.  Internally it
-    steps the eigen-coordinates ``w = U^H D v`` of the linear symbol, in which
-    the linear part is the diagonal ``Lambda = (i/eps) * omega``: a run
-    changes basis once on entry and once on exit, and each stage changes
-    basis twice around the tendency.  The ETDRK4 stages themselves are
+    ordered ``(n, u1, .., ud)``, mean-normalized coefficients in the full
+    layout.  Internally it holds the half spectrum only (``tendency`` and
+    ``nonlinear`` take half-spectrum stacks) and steps the eigen-coordinates
+    ``w = U^H D v`` of the linear symbol, in which the linear part is the
+    diagonal ``Lambda = (i/eps) * omega``: a run changes basis once on entry
+    and once on exit, and each stage changes basis twice around the tendency.  The ETDRK4 stages themselves are
     :class:`~disperlim.etdrk4.DiagonalETDRK4`'s.
     """
 
@@ -164,9 +170,9 @@ class EPIntegrator:
         self.params = params
         self.cfg = cfg
         d = params.dim
-        self.mask = dealias_mask(grid)
-        self.k = [grid.wavenumber(a) for a in range(d)]
-        self.ik = [deriv_factor(grid, a, 1) for a in range(d)]
+        self.mask = half(dealias_mask(grid), grid)
+        self.k = [half(grid.wavenumber(a), grid) for a in range(d)]
+        self.ik = [half(deriv_factor(grid, a, 1), grid) for a in range(d)]
         self.sqeps = math.sqrt(params.epsilon)
         # transverse weights of the anisotropic derivatives
         self.wts = [1.0] + [self.sqeps if d == 2 else 1.0] * (d - 1)
@@ -178,11 +184,11 @@ class EPIntegrator:
 
     def _build_propagator(self):
         d, grid, params = self.params.dim, self.grid, self.params
-        shape, m = grid.shape, d + 1
+        shape, m = self.mask.shape, d + 1
         # Hermitian representative H with L = (1/eps) * Dinv @ (iH) @ D,
         # D = diag(c, 1, .., 1), c the local sound factor
-        c = np.sqrt(params.ion_temperature
-                    + 1.0 / (1.0 + params.epsilon * weighted_ksq(grid, params)))
+        ksq = half(weighted_ksq(grid, params), grid)
+        c = np.sqrt(params.ion_temperature + 1.0 / (1.0 + params.epsilon * ksq))
         H = np.zeros(shape + (m, m), dtype=np.complex128)
         vk1 = params.wave_speed * self.k[0]
         for j in range(m):
@@ -217,10 +223,10 @@ class EPIntegrator:
         if self.cfg.hyperviscosity is None:
             return None
         nu, order = self.cfg.hyperviscosity
-        rho2 = np.zeros(self.grid.shape)
+        rho2 = np.zeros(self.mask.shape)
         for a in range(self.grid.ndim):
             kmax = np.pi * self.grid.dims[a] / self.grid.lengths[a]
-            rho2 = rho2 + (self.grid.wavenumber(a) / kmax) ** 2
+            rho2 = rho2 + (self.k[a] / kmax) ** 2
         return np.exp(-nu * self.cfg.dt * rho2 ** (order / 2.0))
 
     # -- state conversion ----------------------------------------------------
@@ -238,29 +244,25 @@ class EPIntegrator:
     # -- physics -------------------------------------------------------------
 
     def tendency(self, stack: np.ndarray, phi_warm: np.ndarray):
-        """Full tendency F (RHS divided by eps) and the stage potential."""
+        """Full tendency F (RHS divided by eps) of a half-spectrum stack, and
+        the stage potential."""
         grid, params = self.grid, self.params
         d, eps, ti, v = params.dim, params.epsilon, params.ion_temperature, params.wave_speed
         mask, ik = self.mask, self.ik
-        axes = tuple(range(1, d + 1))
-        npts = grid.npoints
 
         # one batched inverse transform: n, masked n/u, masked gradients
-        spec = [stack[0]]
-        spec.append(mask * stack[0])
-        for j in range(d):
-            spec.append(mask * stack[1 + j])
+        spec = [stack[0], *(mask * stack)]
         for j in range(d):       # velocity gradients
             for a in range(d):
                 spec.append(ik[a] * spec[2 + j])
-        for a in range(d):        # masked density gradient (pressure term)
-            spec.append(ik[a] * spec[1])
-        real = _fftmod.ifftn(np.stack(spec) * npts, axes=axes).real
+        if ti != 0.0:             # masked density gradient (pressure term)
+            spec.extend(ik[a] * spec[1] for a in range(d))
+        real = irfft_c(np.stack(spec), grid)
         n = real[0]
         nm = real[1]
         um = [real[2 + j] for j in range(d)]
         grad_u = [[real[2 + d + j * d + a] for a in range(d)] for j in range(d)]
-        grad_n = [real[2 + d + d * d + a] for a in range(d)]
+        grad_n = real[2 + d + d * d:]    # empty when T_i = 0
 
         if float(np.min(n)) <= _MIN_DENSITY:
             raise NumericalError(
@@ -277,11 +279,9 @@ class EPIntegrator:
             for a in range(1, d):
                 adv = adv + self.wts[a] * um[a] * grad_u[j][a]
             prods.append(adv)
-        if ti != 0.0:
-            for a in range(d):
-                prods.append(grad_n[a] / n)
+        prods.extend(grad_n / n)
         prods.append(phi)
-        hats = _fftmod.fftn(np.stack(prods), axes=axes) / npts
+        hats = rfft_c(np.stack(prods), grid)
 
         out = np.empty_like(stack)
         vk1 = 1j * v * self.k[0]
@@ -307,40 +307,38 @@ class EPIntegrator:
         """Nonlinear residual in eigen-coordinates, ``U^H D F(D^-1 U w) -
         Lambda w``; the stage potential is kept as the next stage's warm
         start."""
-        full, self._warm = self.tendency(_change_basis(self.from_eigen, w),
+        tend, self._warm = self.tendency(_change_basis(self.from_eigen, w),
                                          self._warm)
-        out = _change_basis(self.to_eigen, full)
+        out = _change_basis(self.to_eigen, tend)
         out -= self.symbol * w
         return out
 
     # -- stepping ------------------------------------------------------------
 
     def _march(self, stack: np.ndarray, phi: np.ndarray, nsteps: int):
-        """nsteps ETDRK4 steps in eigen-coordinates; the returned potential
-        is the last stage's (the warm start for a consistency solve)."""
-        w = _change_basis(self.to_eigen, stack)
+        """nsteps ETDRK4 steps in eigen-coordinates from a full-layout stack,
+        then the consistency solve; returns the full-layout stack and its
+        potential."""
+        w = _change_basis(self.to_eigen, half(stack, self.grid))
         self._warm = phi
         for _ in range(nsteps):
             w = self.stepper.step(w, 0.0)
             if self._filter is not None:
                 w *= self._filter
+        # the last stage's potential warm-starts the consistency solve
         phi, self._warm = self._warm, None
-        return _change_basis(self.from_eigen, w), phi
-
-    def _resolve_phi(self, stack: np.ndarray, phi: np.ndarray) -> np.ndarray:
-        n_new = ifft_c(stack[0], self.grid)
-        if float(np.min(n_new)) <= _MIN_DENSITY:
+        real = irfft_c(_change_basis(self.from_eigen, w), self.grid)
+        if float(np.min(real[0])) <= _MIN_DENSITY:
             raise NumericalError(
-                f"density fell to {float(np.min(n_new)):.3g} after a step")
-        phi, _ = solve_poisson_values(n_new, self.grid, self.params,
+                f"density fell to {float(np.min(real[0])):.3g} after a step")
+        phi, _ = solve_poisson_values(real[0], self.grid, self.params,
                                       tol=self.cfg.poisson_tol, warm_start=phi,
                                       max_newton=self.cfg.max_newton)
-        return phi
+        return np.stack([fft_c(f, self.grid) for f in real]), phi
 
     def step_stack(self, stack: np.ndarray, phi: np.ndarray):
         """One step with the potential re-established at the new time."""
-        stack, phi = self._march(stack, phi, 1)
-        return stack, self._resolve_phi(stack, phi)
+        return self._march(stack, phi, 1)
 
     def advance(self, stack: np.ndarray, phi: np.ndarray, nsteps: int):
         """nsteps raw steps, then one consistency solve at the final state.
@@ -351,8 +349,7 @@ class EPIntegrator:
         """
         if nsteps <= 0:
             return stack, phi
-        stack, phi = self._march(stack, phi, nsteps)
-        return stack, self._resolve_phi(stack, phi)
+        return self._march(stack, phi, nsteps)
 
 
 def _change_basis(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -372,17 +369,13 @@ def ep_rhs(state: EPState, cfg: StepperConfig = None):
 
     Products are dealiased; the potential is re-solved from the density.
     """
-    cfg = cfg or StepperConfig(dt=_cfl_bound(state) * 0.5)
+    cfg = cfg or StepperConfig(dt=0.25 * state.params.epsilon
+                               * min(state.grid.spacings))
     engine = EPIntegrator(state.grid, state.params, cfg)
-    out, _ = engine.tendency(engine.to_stack(state), state.phi.values)
-    dn = RealField(state.grid, ifft_c(out[0], state.grid))
-    du = [RealField(state.grid, ifft_c(out[1 + j], state.grid))
-          for j in range(state.params.dim)]
+    out, _ = engine.tendency(half(engine.to_stack(state), state.grid),
+                             state.phi.values)
+    dn, *du = (RealField(state.grid, r) for r in irfft_c(out, state.grid))
     return dn, du
-
-
-def _cfl_bound(state: EPState, c_cfl: float = 0.5) -> float:
-    return c_cfl * state.params.epsilon * min(state.grid.spacings)
 
 
 def step_ep(state: EPState, cfg: StepperConfig) -> EPState:
@@ -390,10 +383,6 @@ def step_ep(state: EPState, cfg: StepperConfig) -> EPState:
     engine = EPIntegrator(state.grid, state.params, cfg)
     stack, phi = engine.step_stack(engine.to_stack(state), state.phi.values)
     return engine.from_stack(stack, phi, state.time + cfg.dt)
-
-
-def _mass(n_hat0: complex, grid: Grid) -> float:
-    return float((n_hat0.real - 1.0) * grid.volume)
 
 
 def run_ep(initial: EPState, T: float, cfg: StepperConfig,
@@ -410,6 +399,10 @@ def run_ep(initial: EPState, T: float, cfg: StepperConfig,
     """
     if T < 0:
         raise ConfigurationError(f"final time must be nonnegative, got {T}")
+    nsteps = max(1, math.ceil(T / cfg.dt - 1e-9))
+    dt = T / nsteps
+    if T > 0 and abs(dt - cfg.dt) > 1e-12 * cfg.dt:
+        cfg = replace(cfg, dt=dt)
     log = DiagnosticsLog()
     engine = EPIntegrator(initial.grid, initial.params, cfg)
     stack = engine.to_stack(initial)
@@ -417,12 +410,6 @@ def run_ep(initial: EPState, T: float, cfg: StepperConfig,
                                 engine, norm_orders))
     if T == 0:
         return initial, log
-
-    nsteps = max(1, math.ceil(T / cfg.dt - 1e-9))
-    dt = T / nsteps
-    if abs(dt - cfg.dt) > 1e-12 * cfg.dt:
-        cfg = replace(cfg, dt=dt)
-        engine = EPIntegrator(initial.grid, initial.params, cfg)
 
     snapshots = max(1, int(snapshots))
     marks = [round(nsteps * (i + 1) / snapshots) for i in range(snapshots)]
@@ -446,7 +433,7 @@ def run_ep(initial: EPState, T: float, cfg: StepperConfig,
             raise NumericalError(
                 f"blow-up guard tripped at t = {time:.6g}: "
                 f"||n-1||_H2 = {h2:.3e} exceeds 10x initial {guard0:.3e}")
-        if engine._filter is None and _tail_fraction(stack[0], engine) > tail_guard:
+        if engine._filter is None and _tail_fraction(stack[0], engine.grid) > tail_guard:
             engine.cfg = replace(cfg, hyperviscosity=(2.0 ** 4, 4))
             engine._filter = engine._build_filter()
             record["tail_damping_enabled"] = True
@@ -461,12 +448,13 @@ def _perturbation(n_hat: np.ndarray) -> np.ndarray:
     return pert
 
 
-def _tail_fraction(n_hat: np.ndarray, engine: EPIntegrator) -> float:
+def _tail_fraction(n_hat: np.ndarray, grid: Grid) -> float:
     pert = _perturbation(n_hat)
     peak = float(np.max(np.abs(pert)))
     if peak == 0.0:
         return 0.0
-    tail = float(np.max(np.abs(pert[~engine.mask]))) if (~engine.mask).any() else 0.0
+    outside = ~dealias_mask(grid)
+    tail = float(np.max(np.abs(pert[outside]))) if outside.any() else 0.0
     return tail / peak
 
 
@@ -477,7 +465,7 @@ def _snapshot_record(time, stack, phi, engine: EPIntegrator, norm_orders):
     norms = {f"H{s}": sobolev_norm_c(pert, grid, s) for s in norm_orders}
     return {
         "time": float(time),
-        "mass": _mass(stack[0].flat[0], grid),
+        "mass": float((stack[0].flat[0].real - 1.0) * grid.volume),
         "min_n": float(np.min(n)),
         "poisson_residual": poisson_residual(n, phi, grid, params),
         "norms": norms,

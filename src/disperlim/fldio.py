@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 
@@ -93,11 +94,7 @@ def save_trajectory(directory, traj, name: str = "n") -> None:
     index = {
         "times": [float(t) for t in traj.times],
         "files": files,
-        "config": {
-            "V": traj.config.V, "dt": traj.config.dt, "T": traj.config.T,
-            "equation": traj.config.equation,
-            "snapshots": traj.config.snapshots,
-        },
+        "config": asdict(traj.config),
     }
     write_json(os.path.join(directory, "index.json"), index)
 
@@ -112,12 +109,9 @@ def load_trajectory(directory):
         f, _ = read_fld(os.path.join(directory, fname), grid)
         grid = f.grid
         states.append(f.values)
-    cfgd = index["config"]
-    cfg = LimitConfig(V=cfgd["V"], dt=cfgd["dt"], T=cfgd["T"],
-                      equation=cfgd["equation"],
-                      snapshots=cfgd.get("snapshots", 10))
-    import numpy as _np
-    return Trajectory(grid, _np.array(index["times"]), states, cfg)
+    # indexes written before the coefficients were stored get the defaults
+    cfg = LimitConfig(**index["config"])
+    return Trajectory(grid, np.array(index["times"]), states, cfg)
 
 
 def save_hierarchy(directory, h) -> None:

@@ -88,7 +88,6 @@ class LimitConfig:
     dt: float
     T: float
     equation: str
-    scheme: str = "ETDRK4"
     zk_nonlinear_coeff: float = None   # default: V
     zk_transverse_coeff: float = None  # default: (1+V^4)/(2V)
     lin_bilinear_coeff: float = None   # default: the nonlinear coefficient
@@ -104,8 +103,6 @@ class LimitConfig:
         if self.equation not in _EQUATIONS:
             raise ConfigurationError(
                 f"equation must be one of {_EQUATIONS}, got {self.equation!r}")
-        if self.scheme != "ETDRK4":
-            raise ConfigurationError(f"unsupported scheme {self.scheme!r}")
 
     def coefficients(self) -> LimitCoefficients:
         return LimitCoefficients.for_equation(

@@ -8,7 +8,9 @@ constant-coefficient symbol ``(eps*|k_w|^2 + wbar)^-1``, where ``wbar`` is the
 midrange of ``w``.  It contracts by at most ``(max w - min w)/(max w + min w)
 < 1`` per sweep for every positive ``w``, so the solve holds at any density
 contrast.  The inner residual is available in closed form from the iteration
-increment, so no extra transforms are spent on monitoring.
+increment, so no extra transforms are spent on monitoring.  Every field is
+real, so the transforms are real-data ones on the half spectrum
+(:func:`~disperlim.spectral.rfft_c`), with the symbols cut down to it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError
 from .grid import Grid, RealField, ScalingParams
-from .spectral import fft_c, ifft_c, weighted_ksq
+from .spectral import half, irfft_c, rfft_c, weighted_ksq
 
 __all__ = ["solve_poisson", "poisson_residual"]
 
@@ -31,8 +33,8 @@ def _l2(values: np.ndarray, grid: Grid) -> float:
 def poisson_residual(n: np.ndarray, phi: np.ndarray, grid: Grid,
                      params: ScalingParams) -> float:
     """L2 norm of ``eps*lap_w(phi) - exp(phi) + n``."""
-    ksq = weighted_ksq(grid, params)
-    lap = ifft_c(-ksq * fft_c(phi, grid), grid)
+    ksq = half(weighted_ksq(grid, params), grid)
+    lap = irfft_c(-ksq * rfft_c(phi, grid), grid)
     return _l2(params.epsilon * lap - np.exp(phi) + n, grid)
 
 
@@ -46,7 +48,7 @@ def solve_poisson_values(n: np.ndarray, grid: Grid, params: ScalingParams,
     """
     if np.min(n) <= 0.0:
         raise NumericalError("density must be positive for the potential solve")
-    ksq = weighted_ksq(grid, params)
+    ksq = half(weighted_ksq(grid, params), grid)
     scale = _l2(n, grid)
     target = tol * scale
 
@@ -59,7 +61,7 @@ def solve_poisson_values(n: np.ndarray, grid: Grid, params: ScalingParams,
     inner_total = 0
     for iteration in range(max_newton + 1):
         w = np.exp(phi)
-        lap = ifft_c(-ksq * fft_c(phi, grid), grid)
+        lap = irfft_c(-ksq * rfft_c(phi, grid), grid)
         r = params.epsilon * lap - w + n
         rnorm = _l2(r, grid)
         if not math.isfinite(rnorm):
@@ -87,7 +89,7 @@ def solve_poisson_values(n: np.ndarray, grid: Grid, params: ScalingParams,
         delta = np.zeros_like(phi)
         for sweep in range(200):
             inner_total += 1
-            new = ifft_c(precond * fft_c(r - wdev * delta, grid), grid)
+            new = irfft_c(precond * rfft_c(r - wdev * delta, grid), grid)
             increment = _l2(new - delta, grid)
             delta = new
             # written so a non-finite update also stops; the residual check

@@ -3,7 +3,9 @@
 Two layers live here.  The public functions act on :class:`RealField` /
 :class:`SpectralField` and implement the operation contracts.  The ``*_c``
 helpers act on raw complex coefficient arrays (mean-normalized FFT layout)
-and are what the time steppers call in their inner loops.
+and are what the time steppers call in their inner loops.  ``rfft_c`` /
+``irfft_c`` use the half-spectrum layout of a real transform (last axis
+``0 .. n/2``), and :func:`half` cuts a full-layout table down to it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,27 @@ def ifft_c(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     return _fft.ifftn(coeffs * grid.npoints, axes=range(grid.ndim)).real
 
 
+def rfft_c(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half-spectrum forward transform over the trailing grid axes (so a
+    stack of fields transforms in one batch), zero mode = mean."""
+    axes = tuple(range(-grid.ndim, 0))
+    return _fft.rfftn(values, s=grid.shape, axes=axes, norm="forward")
+
+
+def irfft_c(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real samples from mean-normalized half-spectrum coefficients."""
+    axes = tuple(range(-grid.ndim, 0))
+    return _fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward")
+
+
+def half(table: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half-spectrum part (last-axis indices ``0 .. n/2``) of a full-layout
+    table or stack, contiguous; a table broadcast along the last axis passes
+    unchanged.  The Nyquist wavenumber stays negative, so every symbol keeps
+    its value."""
+    return np.ascontiguousarray(table[..., :grid.dims[-1] // 2 + 1])
+
+
 def deriv_factor(grid: Grid, axis: int, order: int) -> np.ndarray:
     """Multiplier ``(i k_axis)**order``, Nyquist zeroed for odd orders."""
     k = grid.wavenumber(axis)
@@ -52,10 +75,6 @@ def deriv_factor(grid: Grid, axis: int, order: int) -> np.ndarray:
         nyq = np.isclose(np.abs(k), np.pi * grid.dims[axis] / grid.lengths[axis])
         factor = np.where(nyq, 0.0, factor)
     return factor
-
-
-def deriv_c(coeffs: np.ndarray, grid: Grid, axis: int, order: int = 1) -> np.ndarray:
-    return coeffs * deriv_factor(grid, axis, order)
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:
@@ -136,7 +155,7 @@ def spectral_derivative(f: RealField, axis: int, order: int = 1) -> RealField:
         raise ConfigurationError(f"axis {axis} out of range for rank {f.grid.ndim}")
     if order < 1:
         raise ConfigurationError(f"derivative order must be >= 1, got {order}")
-    c = deriv_c(fft_c(f.values, f.grid), f.grid, axis, order)
+    c = fft_c(f.values, f.grid) * deriv_factor(f.grid, axis, order)
     return RealField(f.grid, ifft_c(c, f.grid))
 
 

@@ -337,7 +337,7 @@ def _run_single_epsilon(cfg: StudyConfig, grid: Grid, eps: float,
     stack = engine.to_stack(state)
     phi = state.phi.values
 
-    times = [float(t) for t in hierarchies_times(hierarchies)]
+    times = [float(h.time) for h in hierarchies]
     nsteps_per = _steps_per_sample(times, cfg.dt)
 
     s = cfg.s_prime
@@ -370,10 +370,6 @@ def _run_single_epsilon(cfg: StudyConfig, grid: Grid, eps: float,
             "err1_sup": max(r["err1"] for r in rows[1:]) if len(rows) > 1
             else rows[0]["err1"],
             "prepared": prep, "diagnostics": diagnostics}
-
-
-def hierarchies_times(hierarchies) -> list:
-    return [h.time for h in hierarchies]
 
 
 def _steps_per_sample(times, dt) -> list:

@@ -200,6 +200,20 @@ class TestRun:
         assert final is state
         assert len(log.records) == 1
 
+    def test_rounded_dt_builds_one_engine(self, grid2d, monkeypatch):
+        # T/dt = 16.7: dt is rounded to T/17 before the only engine is built
+        built = []
+        init = EPIntegrator.__init__
+
+        def counting(engine, grid, params, cfg):
+            built.append(cfg.dt)
+            init(engine, grid, params, cfg)
+
+        monkeypatch.setattr(EPIntegrator, "__init__", counting)
+        p = ScalingParams(epsilon=0.1, ion_temperature=1.0, dim=2)
+        run_ep(_rest_state(grid2d, p), 0.05, StepperConfig(dt=3e-3), snapshots=1)
+        assert built == [pytest.approx(0.05 / 17, rel=1e-14)]
+
     def test_zero_amplitude_long_run(self, grid2d):
         p = ScalingParams(epsilon=0.2, ion_temperature=1.0, dim=2)
         final, log = run_ep(_rest_state(grid2d, p), 0.5,

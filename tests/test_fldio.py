@@ -105,3 +105,35 @@ def test_hierarchy_without_stored_coefficients_gets_defaults(tmp_path):
     del manifest["coeffs"]
     json.dump(manifest, open(d / "manifest.json", "w"))
     assert load_hierarchy(d).coeffs == h.coeffs
+
+
+def _zk_trajectory():
+    from disperlim.limit_equations import solve_zk
+    g = dl.build_grid([16, 16, 16], [20.0] * 3)
+    n0 = gaussian_zero_mean(g, amplitude=0.3, width=2.4)
+    return solve_zk(n0, LimitConfig(V=1.0, dt=1e-3, T=0.002, equation="ZK",
+                                    zk_transverse_coeff=0.3,
+                                    zk_nonlinear_coeff=2.0, snapshots=2))
+
+
+def test_trajectory_round_trip_keeps_coefficients(tmp_path):
+    traj = _zk_trajectory()
+    save_trajectory(tmp_path / "traj", traj)
+    back = load_trajectory(tmp_path / "traj")
+    assert back.config == traj.config
+    assert back.config.coefficients() == traj.config.coefficients()
+    assert np.array_equal(back.states[-1], traj.states[-1])
+
+
+def test_trajectory_without_stored_coefficients_gets_defaults(tmp_path):
+    traj = _zk_trajectory()
+    d = tmp_path / "traj"
+    save_trajectory(d, traj)
+    index = json.load(open(d / "index.json"))
+    for key in ("zk_nonlinear_coeff", "zk_transverse_coeff",
+                "lin_bilinear_coeff"):
+        del index["config"][key]
+    json.dump(index, open(d / "index.json", "w"))
+    back = load_trajectory(d)
+    assert back.config == LimitConfig(V=1.0, dt=1e-3, T=0.002, equation="ZK",
+                                      snapshots=2)
