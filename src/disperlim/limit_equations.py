@@ -19,6 +19,7 @@ inhomogeneous variants share the linear symbol and carry the bilinear term
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -27,8 +28,7 @@ import numpy as np
 from .errors import ConfigurationError, ConstraintError, NumericalError
 from .etdrk4 import DiagonalETDRK4
 from .grid import Grid, RealField
-from .spectral import (antiderivative_x1_c, dealias_mask, deriv_factor,
-                       fft_c, ifft_c, l2_norm_c, sobolev_norm_c)
+from .spectral import HalfOps, deriv_factor, half, irfft_c, rfft_c
 
 __all__ = [
     "LimitCoefficients",
@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 _EQUATIONS = ("KP2", "ZK", "KdV", "LinKP", "LinZK")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -176,31 +178,6 @@ class LinearizedSource:
 # linear symbols
 
 
-def _odd_k(grid: Grid, axis: int) -> np.ndarray:
-    """Wavenumber table with the Nyquist mode removed (odd-symbol safe)."""
-    return deriv_factor(grid, axis, 1).imag
-
-
-def _kp_symbol_array(grid: Grid, coeffs: LimitCoefficients) -> np.ndarray:
-    k1 = _odd_k(grid, 0)
-    k2 = grid.wavenumber(1)
-    safe = np.where(k1 == 0.0, 1.0, k1)
-    sym = coeffs.dispersion_x * k1 ** 3 - coeffs.transverse * np.where(
-        k1 == 0.0, 0.0, k2 ** 2 / safe)
-    return 1j * sym
-
-
-def _zk_symbol_array(grid: Grid, coeffs: LimitCoefficients) -> np.ndarray:
-    k1 = _odd_k(grid, 0)
-    kperp2 = sum(grid.wavenumber(a) ** 2 for a in range(1, grid.ndim))
-    return 1j * (coeffs.dispersion_x * k1 ** 3 + coeffs.transverse * k1 * kperp2)
-
-
-def _kdv_symbol_array(grid: Grid, coeffs: LimitCoefficients) -> np.ndarray:
-    k1 = _odd_k(grid, 0)
-    return 1j * coeffs.dispersion_x * k1 ** 3
-
-
 def kp2_linear_symbol(k, V: float) -> complex:
     """Evolution-form linear symbol of the 2D limit model at one wavenumber.
 
@@ -228,7 +205,8 @@ def zk_linear_symbol(k, V: float, transverse: float = None) -> complex:
 
 
 def _kp_live_mask(grid: Grid) -> np.ndarray:
-    """Forbidden modes in 2D: k1 = 0 with nonzero transverse wavenumber.
+    """Forbidden modes in 2D, on the half spectrum: k1 = 0 with nonzero
+    transverse wavenumber.
 
     The global mean is exempt (it is conserved by the flow and carries a
     well-defined zero symbol), which keeps the streamwise-independent
@@ -239,16 +217,31 @@ def _kp_live_mask(grid: Grid) -> np.ndarray:
     for a in range(1, grid.ndim):
         perp_zero &= np.broadcast_to(np.isclose(grid.wavenumber(a), 0.0), grid.shape)
     dead &= ~perp_zero
-    return dead
+    return half(dead, grid)
+
+
+def _kp_projector(grid: Grid):
+    """Zeroes the forbidden modes of a half spectrum (or of a stack of them)."""
+    dead = _kp_live_mask(grid)
+
+    def project(vhat):
+        out = vhat.copy()
+        out[..., dead] = 0.0
+        return out
+
+    return project
 
 
 def check_kp_constraint(f: RealField, ztol: float = None) -> float:
     """Norm of the forbidden streamwise-mean content; raises above ztol."""
-    c = fft_c(f.values, f.grid)
-    dead = _kp_live_mask(f.grid)
-    norm = math.sqrt(f.grid.volume * float(np.sum(np.abs(c[dead]) ** 2)))
+    return _kp_constraint_c(rfft_c(f.values, f.grid), HalfOps(f.grid), ztol)
+
+
+def _kp_constraint_c(c: np.ndarray, ops: HalfOps, ztol: float = None) -> float:
+    """:func:`check_kp_constraint` on the half spectrum ``c``."""
+    norm = ops.norm_c(c * _kp_live_mask(ops.grid))
     if ztol is None:
-        ztol = 1e-10 * max(l2_norm_c(c, f.grid), 1e-300)
+        ztol = 1e-10 * max(ops.norm_c(c), 1e-300)
     if norm > ztol:
         raise ConstraintError(
             f"streamwise-mean (k1=0) content violates the 2D constraint: "
@@ -260,23 +253,48 @@ def check_kp_constraint(f: RealField, ztol: float = None) -> float:
 # generic driver
 
 
+def _snapshot_guard(ops: HalfOps, vhat0: np.ndarray):
+    """Snapshot check of a march: a non-finite spectrum, or an H2 norm above
+    10x the initial one (above 1 when that is zero), raises NumericalError."""
+    guard0 = ops.norm_c(vhat0, 2)
+    guard = 10.0 * guard0 if guard0 > 1e-14 else 1.0
+
+    def check(vhat, t):
+        if not np.all(np.isfinite(vhat)):
+            raise NumericalError(f"non-finite spectrum at t = {t:.6g}")
+        h2 = ops.norm_c(vhat, 2)
+        if h2 > guard:
+            raise NumericalError(
+                f"blow-up guard tripped at t = {t:.6g}: "
+                f"H2 = {h2:.3e} exceeds 10x initial {guard0:.3e}")
+
+    return check
+
+
 def _run_diagonal(grid, v0_values, cfg: LimitConfig, symbol, nonlinear,
                   project=None) -> Trajectory:
+    """March ``v_t = symbol*v + N(v)`` on the half spectrum from real samples
+    (one field, or a stack of fields along a leading axis); dt is rounded to
+    T/ceil(T/dt) so the march ends on T."""
     nsteps = max(1, math.ceil(cfg.T / cfg.dt - 1e-9)) if cfg.T > 0 else 0
     dt = cfg.T / nsteps if nsteps else cfg.dt
-    cfg_eff = replace(cfg, dt=dt) if nsteps and abs(dt - cfg.dt) > 1e-12 * cfg.dt else cfg
+    cfg_eff = cfg
+    if nsteps and abs(dt - cfg.dt) > 1e-12 * cfg.dt:
+        _log.info("dt_rounded: requested dt %.17g, effective dt %.17g", cfg.dt, dt,
+                  extra={"event": "dt_rounded", "requested_dt": cfg.dt,
+                         "effective_dt": dt})
+        cfg_eff = replace(cfg, dt=dt)
 
-    vhat = fft_c(v0_values, grid)
+    vhat = rfft_c(v0_values, grid)
     if project is not None:
         vhat = project(vhat)
     times = [0.0]
-    states = [ifft_c(vhat, grid)]
+    states = [irfft_c(vhat, grid)]
     if nsteps == 0:
         return Trajectory(grid, np.array(times), states, cfg_eff)
 
     stepper = DiagonalETDRK4(symbol, dt, nonlinear)
-    guard0 = sobolev_norm_c(vhat, grid, 2)
-    guard = 10.0 * guard0 if guard0 > 1e-14 else 1.0
+    check = _snapshot_guard(HalfOps(grid), vhat)
     snaps = max(1, int(cfg.snapshots))
     marks = sorted({round(nsteps * (i + 1) / snaps) for i in range(snaps)} - {0})
 
@@ -287,27 +305,32 @@ def _run_diagonal(grid, v0_values, cfg: LimitConfig, symbol, nonlinear,
             if project is not None:
                 vhat = project(vhat)
         done = mark
-        if not np.all(np.isfinite(vhat)):
-            raise NumericalError(f"non-finite spectrum at t = {done * dt:.6g}")
-        h2 = sobolev_norm_c(vhat, grid, 2)
-        if h2 > guard:
-            raise NumericalError(
-                f"blow-up guard tripped at t = {done * dt:.6g}: "
-                f"H2 = {h2:.3e} exceeds 10x initial {guard0:.3e}")
+        check(vhat, done * dt)
         times.append(done * dt)
-        states.append(ifft_c(vhat, grid))
+        states.append(irfft_c(vhat, grid))
     return Trajectory(grid, np.array(times), states, cfg_eff)
 
 
-def _quadratic_nonlinearity(grid: Grid, coeffs: LimitCoefficients):
-    mask = dealias_mask(grid)
-    dx1 = deriv_factor(grid, 0, 1)
-
+def _quadratic_nonlinearity(ops: HalfOps, coeffs: LimitCoefficients):
     def nonlinear(vhat, t):
-        v = ifft_c(mask * vhat, grid)
-        return (-0.5 * coeffs.nonlinear) * dx1 * (mask * fft_c(v * v, grid))
+        return (-0.5 * coeffs.nonlinear) * ops.ik(0) * ops.prod_c(vhat, vhat)
 
     return nonlinear
+
+
+def _run_limit(n0: RealField, cfg: LimitConfig, equation: str, project=None,
+               source: LinearizedSource = None) -> Trajectory:
+    """Integrate the limit model ``equation``: the quadratic one, or with a
+    ``source`` the linearized one about its background."""
+    ops = HalfOps(n0.grid)
+    coeffs = cfg.coefficients()
+    if source is None:
+        nonlinear = _quadratic_nonlinearity(ops, coeffs)
+    else:
+        ztol = 1e-9 * max(1.0, ops.norm_c(rfft_c(source.background(0.0), n0.grid)))
+        nonlinear = _linearized_nonlinearity(ops, coeffs, source, ztol)
+    sym = half(symbol_array(n0.grid, coeffs, equation), n0.grid)
+    return _run_diagonal(n0.grid, n0.values, cfg, sym, nonlinear, project=project)
 
 
 def solve_kp2(n0: RealField, cfg: LimitConfig) -> Trajectory:
@@ -316,53 +339,32 @@ def solve_kp2(n0: RealField, cfg: LimitConfig) -> Trajectory:
     if n0.grid.ndim != 2:
         raise ConfigurationError("the 2D limit model needs a rank-2 grid")
     check_kp_constraint(n0)
-    coeffs = cfg.coefficients()
-    dead = _kp_live_mask(n0.grid)
-
-    def project(vhat):
-        out = vhat.copy()
-        out[dead] = 0.0
-        return out
-
-    return _run_diagonal(n0.grid, n0.values, cfg,
-                         _kp_symbol_array(n0.grid, coeffs),
-                         _quadratic_nonlinearity(n0.grid, coeffs),
-                         project=project)
+    return _run_limit(n0, cfg, "KP2", project=_kp_projector(n0.grid))
 
 
 def solve_zk(n0: RealField, cfg: LimitConfig) -> Trajectory:
     """Integrate the 3D limit model (no nonlocal constraint)."""
     if n0.grid.ndim != 3:
         raise ConfigurationError("the 3D limit model needs a rank-3 grid")
-    coeffs = cfg.coefficients()
-    return _run_diagonal(n0.grid, n0.values, cfg,
-                         _zk_symbol_array(n0.grid, coeffs),
-                         _quadratic_nonlinearity(n0.grid, coeffs))
+    return _run_limit(n0, cfg, "ZK")
 
 
 def solve_kdv(n0: RealField, cfg: LimitConfig) -> Trajectory:
     """One-dimensional reduction (no transverse dispersion); test oracle."""
     if n0.grid.ndim != 1:
         raise ConfigurationError("the 1D reduction needs a rank-1 grid")
-    coeffs = cfg.coefficients()
-    return _run_diagonal(n0.grid, n0.values, cfg,
-                         _kdv_symbol_array(n0.grid, coeffs),
-                         _quadratic_nonlinearity(n0.grid, coeffs))
+    return _run_limit(n0, cfg, "KdV")
 
 
-def _linearized_nonlinearity(grid: Grid, coeffs: LimitCoefficients,
+def _linearized_nonlinearity(ops: HalfOps, coeffs: LimitCoefficients,
                              source: LinearizedSource, ztol_scale: float):
-    mask = dealias_mask(grid)
-    dx1 = deriv_factor(grid, 0, 1)
-
     def nonlinear(vhat, t):
-        v = ifft_c(mask * vhat, grid)
-        n1 = ifft_c(mask * fft_c(source.background(t), grid), grid)
-        out = (-coeffs.bilinear) * dx1 * (mask * fft_c(n1 * v, grid))
+        n1 = rfft_c(source.background(t), ops.grid)
+        out = (-coeffs.bilinear) * ops.ik(0) * ops.prod_c(n1, vhat)
         if source.source is not None:
-            g = fft_c(source.source(t), grid)
+            g = rfft_c(source.source(t), ops.grid)
             if source.source_form == "differentiated":
-                g = antiderivative_x1_c(g, grid, ztol_scale)
+                g = ops.inv_d1_c(g, ztol_scale)
             out = out + g
         return out
 
@@ -375,20 +377,7 @@ def solve_linearized_kp(source: LinearizedSource, nk0: RealField,
     if nk0.grid.ndim != 2:
         raise ConfigurationError("the 2D linearized model needs a rank-2 grid")
     check_kp_constraint(nk0)
-    coeffs = cfg.coefficients()
-    dead = _kp_live_mask(nk0.grid)
-    ztol = 1e-9 * max(1.0, l2_norm_c(fft_c(source.background(0.0), nk0.grid),
-                                     nk0.grid))
-
-    def project(vhat):
-        out = vhat.copy()
-        out[dead] = 0.0
-        return out
-
-    return _run_diagonal(nk0.grid, nk0.values, cfg,
-                         _kp_symbol_array(nk0.grid, coeffs),
-                         _linearized_nonlinearity(nk0.grid, coeffs, source, ztol),
-                         project=project)
+    return _run_limit(nk0, cfg, "LinKP", _kp_projector(nk0.grid), source)
 
 
 def solve_linearized_zk(source: LinearizedSource, nk0: RealField,
@@ -396,12 +385,7 @@ def solve_linearized_zk(source: LinearizedSource, nk0: RealField,
     """Linearized inhomogeneous 3D solve about the background in ``source``."""
     if nk0.grid.ndim != 3:
         raise ConfigurationError("the 3D linearized model needs a rank-3 grid")
-    coeffs = cfg.coefficients()
-    ztol = 1e-9 * max(1.0, l2_norm_c(fft_c(source.background(0.0), nk0.grid),
-                                     nk0.grid))
-    return _run_diagonal(nk0.grid, nk0.values, cfg,
-                         _zk_symbol_array(nk0.grid, coeffs),
-                         _linearized_nonlinearity(nk0.grid, coeffs, source, ztol))
+    return _run_limit(nk0, cfg, "LinZK", source=source)
 
 
 def solve_coupled_order2(n10: RealField, n20: RealField, cfg: LimitConfig,
@@ -410,62 +394,33 @@ def solve_coupled_order2(n10: RealField, n20: RealField, cfg: LimitConfig,
 
     ``source_fn(n1_values) -> evolution-form inhomogeneity`` is evaluated at
     every stage from the stage value of the first-order field, so the pair
-    advances as one coupled ETDRK4 system with no interpolation error.
-    Returns the two trajectories on the shared time grid.
+    advances as one coupled ETDRK4 system with no interpolation error; it
+    marches as one component-leading stack ``(n1, n2)``.  Returns the two
+    trajectories on the shared time grid.
     """
     grid = n10.grid
     coeffs = cfg.coefficients()
+    project = None
     if grid.ndim == 2:
         check_kp_constraint(n10)
         check_kp_constraint(n20)
-        sym = _kp_symbol_array(grid, coeffs)
-        dead = _kp_live_mask(grid)
-    else:
-        sym = _zk_symbol_array(grid, coeffs)
-        dead = None
-    mask = dealias_mask(grid)
-    dx1 = deriv_factor(grid, 0, 1)
+        project = _kp_projector(grid)
+    ops = HalfOps(grid)
+    mask = ops.mask
+    sym = half(symbol_array(grid, coeffs, "KP2" if grid.ndim == 2 else "ZK"), grid)
+    factors = ops.ik(0) * np.array([-0.5 * coeffs.nonlinear, -coeffs.bilinear]
+                                   ).reshape((2,) + (1,) * grid.ndim)
 
     def nonlinear(stack, t):
-        v1 = ifft_c(mask * stack[..., 0], grid)
-        v2 = ifft_c(mask * stack[..., 1], grid)
-        out = np.empty_like(stack)
-        out[..., 0] = (-0.5 * coeffs.nonlinear) * dx1 * (mask * fft_c(v1 * v1, grid))
-        g = fft_c(source_fn(v1), grid)
-        out[..., 1] = (-coeffs.bilinear) * dx1 * (mask * fft_c(v1 * v2, grid)) + g
+        v1, v2 = irfft_c(mask * stack, grid)
+        out = factors * (mask * rfft_c(np.stack([v1 * v1, v1 * v2]), grid))
+        out[1] += rfft_c(source_fn(v1), grid)
         return out
 
-    def project(stack):
-        if dead is None:
-            return stack
-        out = stack.copy()
-        out[dead, :] = 0.0
-        return out
-
-    nsteps = max(1, math.ceil(cfg.T / cfg.dt - 1e-9)) if cfg.T > 0 else 0
-    dt = cfg.T / nsteps if nsteps else cfg.dt
-    stack = np.stack([fft_c(n10.values, grid), fft_c(n20.values, grid)], axis=-1)
-    stack = project(stack)
-    times = [0.0]
-    s1 = [ifft_c(stack[..., 0], grid)]
-    s2 = [ifft_c(stack[..., 1], grid)]
-    if nsteps:
-        stepper = DiagonalETDRK4(sym[..., None], dt, nonlinear)
-        snaps = max(1, int(cfg.snapshots))
-        marks = sorted({round(nsteps * (i + 1) / snaps) for i in range(snaps)} - {0})
-        done = 0
-        for mark in marks:
-            for step in range(done, mark):
-                stack = project(stepper.step(stack, step * dt))
-            done = mark
-            if not np.all(np.isfinite(stack)):
-                raise NumericalError(f"non-finite spectrum at t = {done * dt:.6g}")
-            times.append(done * dt)
-            s1.append(ifft_c(stack[..., 0], grid))
-            s2.append(ifft_c(stack[..., 1], grid))
-    cfg_eff = replace(cfg, dt=dt) if nsteps else cfg
-    t = np.array(times)
-    return (Trajectory(grid, t, s1, cfg_eff), Trajectory(grid, t, s2, cfg_eff))
+    traj = _run_diagonal(grid, np.stack([n10.values, n20.values]), cfg, sym,
+                         nonlinear, project=project)
+    return tuple(Trajectory(grid, traj.times, [s[j] for s in traj.states], traj.config)
+                 for j in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -474,38 +429,40 @@ def solve_coupled_order2(n10: RealField, n20: RealField, cfg: LimitConfig,
 
 
 def symbol_array(grid: Grid, coeffs: LimitCoefficients, equation: str) -> np.ndarray:
+    """Linear symbol of a limit model (full layout, Nyquist removed from the
+    streamwise factor); the 1D reduction is the 3D form with no transverse
+    axes."""
+    if equation not in _EQUATIONS:
+        raise ConfigurationError(f"unknown equation {equation!r}")
+    k1 = deriv_factor(grid, 0, 1).imag
     if equation in ("KP2", "LinKP"):
-        return _kp_symbol_array(grid, coeffs)
-    if equation in ("ZK", "LinZK"):
-        return _zk_symbol_array(grid, coeffs)
-    if equation == "KdV":
-        return _kdv_symbol_array(grid, coeffs)
-    raise ConfigurationError(f"unknown equation {equation!r}")
+        safe = np.where(k1 == 0.0, 1.0, k1)
+        return 1j * (coeffs.dispersion_x * k1 ** 3 - coeffs.transverse * np.where(
+            k1 == 0.0, 0.0, grid.wavenumber(1) ** 2 / safe))
+    kperp2 = sum(grid.wavenumber(a) ** 2 for a in range(1, grid.ndim))
+    return 1j * (coeffs.dispersion_x * k1 ** 3 + coeffs.transverse * k1 * kperp2)
 
 
 def evolution_rhs(values: np.ndarray, grid: Grid, coeffs: LimitCoefficients,
                   equation: str) -> np.ndarray:
     """Instantaneous tendency of the quadratic limit model, in samples."""
-    sym = symbol_array(grid, coeffs, equation)
-    nonlin = _quadratic_nonlinearity(grid, coeffs)
-    vhat = fft_c(values, grid)
-    return ifft_c(sym * vhat + nonlin(vhat, 0.0), grid)
+    sym = half(symbol_array(grid, coeffs, equation), grid)
+    vhat = rfft_c(values, grid)
+    nonlin = _quadratic_nonlinearity(HalfOps(grid), coeffs)
+    return irfft_c(sym * vhat + nonlin(vhat, 0.0), grid)
 
 
 def linearized_rhs(values: np.ndarray, background: np.ndarray,
                    source_evolution: np.ndarray | None, grid: Grid,
                    coeffs: LimitCoefficients, equation: str) -> np.ndarray:
     """Instantaneous tendency of the linearized model (evolution-form source)."""
-    sym = symbol_array(grid, coeffs, equation)
-    mask = dealias_mask(grid)
-    dx1 = deriv_factor(grid, 0, 1)
-    vhat = fft_c(values, grid)
-    v = ifft_c(mask * vhat, grid)
-    n1 = ifft_c(mask * fft_c(background, grid), grid)
-    out = sym * vhat - coeffs.bilinear * dx1 * (mask * fft_c(n1 * v, grid))
-    if source_evolution is not None:
-        out = out + fft_c(source_evolution, grid)
-    return ifft_c(out, grid)
+    sym = half(symbol_array(grid, coeffs, equation), grid)
+    source = LinearizedSource(
+        grid, background=lambda t: background, source_form="evolution",
+        source=None if source_evolution is None else (lambda t: source_evolution))
+    vhat = rfft_c(values, grid)
+    nonlin = _linearized_nonlinearity(HalfOps(grid), coeffs, source, 0.0)
+    return irfft_c(sym * vhat + nonlin(vhat, 0.0), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +526,11 @@ def conserved_quantities(f: RealField, equation: str, V: float,
     if equation == "ZK":
         coeffs = LimitCoefficients.for_equation("ZK", V, nonlinear=c_N,
                                                 transverse=transverse)
-        chat = fft_c(f.values, grid)
-        d1 = ifft_c(deriv_factor(grid, 0, 1) * chat, grid)
-        perp = sum(ifft_c(deriv_factor(grid, a, 1) * chat, grid) ** 2
-                   for a in range(1, grid.ndim))
+        ops = HalfOps(grid)
+        chat = rfft_c(f.values, grid)
+        d1, *dperp = irfft_c(np.stack([ops.d_c(chat, a) for a in range(grid.ndim)]),
+                             grid)
+        perp = sum(g ** 2 for g in dperp)
         density = (0.5 * coeffs.dispersion_x * d1 ** 2
                    + 0.5 * coeffs.transverse * perp
                    - coeffs.nonlinear * f.values ** 3 / 6.0)

@@ -19,23 +19,30 @@ arbiter for all coefficient choices.
 All time derivatives are evaluated from the governing limit equations (never
 finite differences), and all products share one dealiasing convention, so
 residuals of consistent hierarchies sit at accumulation-roundoff level.
+
+The layer is spectrally resident on the half spectrum of a real transform
+(:class:`~disperlim.spectral.HalfOps`): a call transforms each field once and
+only dealiased products visit real space.  The relations are written once for
+2D and 3D over spectra keyed by field name, a second-order hierarchy feeds its
+own first-order spectra to the closed-form source, and residual norms are
+taken on spectra; fields and sources are handed out as real samples.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .grid import Grid, RealField, ScalingParams
 from .limit_equations import (LimitCoefficients, LinearizedSource,
-                               check_kp_constraint, evolution_rhs,
-                               linearized_rhs)
+                               _kp_constraint_c, _quadratic_nonlinearity,
+                               symbol_array)
 from .poisson import solve_poisson_values
-from .spectral import (antiderivative_x1_c, dealias_mask, deriv_factor,
-                       fft_c, ifft_c, l2_norm_c, sobolev_norm_c)
+from .spectral import HalfOps, half, irfft_c, rfft_c
 
 __all__ = [
     "ProfileHierarchy",
@@ -145,182 +152,217 @@ class ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# shared spectral helpers bound to one grid
+# the operator set of one call, on the half spectrum
 
 
-class _Ops:
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.mask = dealias_mask(grid)
-        self.ik = [deriv_factor(grid, a, 1) for a in range(grid.ndim)]
+class _Ops(HalfOps):
+    """The half-spectrum operator set of one profile call, with the limit
+    model's symbol and tendencies; ``d``/``prod``/``lap``/``inv_d1``/``l2``/
+    ``hs`` are the same operations on real samples."""
+
+    def __init__(self, grid: Grid, coeffs: LimitCoefficients = None,
+                 equation: str = None):
+        super().__init__(grid)
+        self.coeffs, self.equation = coeffs, equation
+
+    @cached_property
+    def sym(self) -> np.ndarray:
+        return half(symbol_array(self.grid, self.coeffs, self.equation), self.grid)
+
+    def evolution_c(self, K: np.ndarray) -> np.ndarray:
+        """Tendency of the quadratic limit model, with the solvers' own
+        nonlinearity."""
+        return self.sym * K + _quadratic_nonlinearity(self, self.coeffs)(K, 0.0)
+
+    def linearized_c(self, N: np.ndarray, K: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """Tendency of the linearized model about K with the evolution-form
+        source S, as ``linearized_rhs``."""
+        return self.sym * N - self.coeffs.bilinear * self.ik(0) * self.prod_c(K, N) + S
 
     def d(self, values: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        return ifft_c(fft_c(values, self.grid) * deriv_factor(self.grid, axis, order),
-                      self.grid)
+        return irfft_c(self.d_c(self.spec(values), axis, order), self.grid)
 
     def prod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Dealiased pointwise product (the one product convention)."""
-        am = ifft_c(self.mask * fft_c(a, self.grid), self.grid)
-        bm = ifft_c(self.mask * fft_c(b, self.grid), self.grid)
-        return ifft_c(self.mask * fft_c(am * bm, self.grid), self.grid)
-
-    def inv_d1(self, values: np.ndarray, ztol: float = None) -> np.ndarray:
-        c = fft_c(values, self.grid)
-        if ztol is None:
-            ztol = 1e-8 * max(1.0, l2_norm_c(c, self.grid))
-        return ifft_c(antiderivative_x1_c(c, self.grid, ztol), self.grid)
+        return irfft_c(self.prod_c(self.spec(a), self.spec(b)), self.grid)
 
     def lap(self, values: np.ndarray) -> np.ndarray:
-        c = fft_c(values, self.grid)
-        ksq = sum(self.grid.wavenumber(a) ** 2 for a in range(self.grid.ndim))
-        return ifft_c(-ksq * c, self.grid)
+        return irfft_c(self.lap_c(self.spec(values)), self.grid)
+
+    def inv_d1(self, values: np.ndarray, ztol: float = None) -> np.ndarray:
+        return irfft_c(self.inv_d1_c(self.spec(values), ztol), self.grid)
 
     def l2(self, values: np.ndarray) -> float:
-        return l2_norm_c(fft_c(values, self.grid), self.grid)
+        return self.norm_c(self.spec(values))
 
     def hs(self, values: np.ndarray, s: int) -> float:
-        return sobolev_norm_c(fft_c(values, self.grid), self.grid, s)
+        return self.norm_c(self.spec(values), s)
+
+
+def _setup(n1: RealField, coeffs: LimitCoefficients, equation: str):
+    """Operator set and density spectrum of one call on the first-order
+    profile; checks the rank and, in 2D, the streamwise-mean constraint."""
+    d = 2 if equation == "KP2" else 3
+    if n1.grid.ndim != d:
+        raise ConfigurationError(f"{d}D hierarchy needs a rank-{d} grid")
+    op = _Ops(n1.grid, coeffs, equation)
+    K = op.spec(n1.values)
+    if d == 2:
+        _kp_constraint_c(K, op)
+    return op, K
 
 
 # ---------------------------------------------------------------------------
-# first order
+# the relations, on half spectra keyed by the hierarchy's field names
+
+_FIELDS = {2: ("n1", "u1_1", "u2_1", "phi1"),
+           3: ("n1", "u1_1", "u2_1", "u3_1", "phi1", "u2_2", "u3_2")}
+_SECOND = {2: ("n2", "u1_2", "phi2", "u2_2"), 3: ("n2", "u1_2", "phi2")}
+_AUX = {2: ("u1_corr", "phi_corr", "u2_corr"),
+        3: ("u1_corr", "phi_corr", "u2_3", "u3_3", "u2_4", "u3_4")}
+
+
+def _first_order_c(op: _Ops, K: np.ndarray) -> dict:
+    """First-order fields and first-order-determined corrections of the
+    density spectrum K, plus its tendency ``dtn1`` and the density-free parts
+    ``<name>~`` of the transverse closures (see :func:`_closures_c`)."""
+    D, P, I = op.d_c, op.prod_c, op.inv_d1_c
+    V = op.coeffs.V
+    ti = V * V - 1.0
+    kk = P(K, K)
+    dtn1 = op.evolution_c(K)
+    s = {"n1": K, "u1_1": V * K, "phi1": K, "dtn1": dtn1}
+    if op.grid.ndim == 2:
+        s["u2_1"] = b1 = V * I(D(K, 1))
+        s["phi_corr"] = D(K, 0, 2) - 0.5 * kk
+        s["u1_corr"] = -I(dtn1 + V * D(kk, 0) + D(b1, 1))
+        s["u2~"] = V * I(D(dtn1, 1)) + V * P(K, D(b1, 0)) - ti * P(K, D(K, 1))
+    else:
+        s["u2_1"] = b1 = -V * V * D(K, 2)
+        s["u3_1"] = c1 = V * V * D(K, 1)
+        s["u2_2"] = b2 = V * D(c1, 0)
+        s["u3_2"] = c2 = -V * D(b1, 0)
+        s["phi_corr"] = op.lap_c(K) - 0.5 * kk
+        s["u1_corr"] = -I(dtn1 + V * D(kk, 0) + D(b2, 1) + D(c2, 2))
+        s["u3_3~"] = -V * D(b2, 0) - ti * P(K, D(K, 1))
+        s["u2_3~"] = V * D(c2, 0) + ti * P(K, D(K, 2))
+        s["u3_4~"] = -V * V * D(dtn1, 2) + V * P(K, D(b1, 0))
+        s["u2_4~"] = V * V * D(dtn1, 1) + V * P(K, D(c1, 0))
+    _closures_c(op, s)
+    return s
+
+
+def _closures_c(op: _Ops, s: dict) -> None:
+    """Transverse closures of the second power, into ``s``: in 2D the
+    transverse velocity (``u2_corr`` at first order, ``u2_2`` once ``s``
+    holds a second-order density), in 3D ``u2_3``, ``u3_3``, ``u2_4``,
+    ``u3_4``; each is its density-free part plus the second-order density and
+    potential terms."""
+    D = op.d_c
+    V = op.coeffs.V
+    ti = V * V - 1.0
+    second = "n2" in s
+    n2 = s["n2"] if second else 0.0
+    p2 = s["phi2"] if second else s["phi_corr"]
+    if op.grid.ndim == 2:
+        name = "u2_2" if second else "u2_corr"
+        s[name] = op.inv_d1_c(s["u2~"] + ti * D(n2, 1) + D(p2, 1)) / V
+        return
+    s["u3_3"] = u3_3 = s["u3_3~"] + ti * D(n2, 1) + D(p2, 1)
+    s["u2_3"] = u2_3 = s["u2_3~"] - ti * D(n2, 2) - D(p2, 2)
+    s["u3_4"] = s["u3_4~"] - V * D(u2_3, 0)
+    s["u2_4"] = V * D(u3_3, 0) - s["u2_4~"]
+
+
+def _transverse(s: dict, d: int) -> list:
+    """``(axis, velocity, closure)`` of the transverse fluxes entering the
+    streamwise balances: in 2D the transverse velocity with its closure, in
+    3D the streamwise companions of the drifts with their fourth-power
+    closures."""
+    if d == 2:
+        return [(1, s["u2_1"], s["u2_2"] if "n2" in s else s["u2_corr"])]
+    return [(1, s["u2_2"], s["u2_4"]), (2, s["u3_2"], s["u3_4"])]
+
+
+def _poisson_linear(op: _Ops, p: np.ndarray, p_prev) -> np.ndarray:
+    """Linear part of a Poisson balance: in 2D the streamwise second
+    derivative of p plus the transverse one of the previous order, in 3D the
+    Laplacian of p."""
+    if op.grid.ndim == 2:
+        return op.d_c(p, 0, 2) + op.d_c(p_prev, 1, 2)
+    return op.lap_c(p)
+
+
+def _hierarchy(n1: RealField, V: float, time: float, coeffs: LimitCoefficients,
+               equation: str, n2: RealField = None, u1_second_coeff: float = None,
+               source_evolution: np.ndarray = None) -> ProfileHierarchy:
+    """First- (n2 None) or second-order hierarchy; every derived field comes
+    back to real samples in one batched transform."""
+    coeffs = coeffs or LimitCoefficients.for_equation(equation, V)
+    op, K = _setup(n1, coeffs, equation)
+    d, grid = op.grid.ndim, op.grid
+    s = _first_order_c(op, K)
+    k = n1.values
+    given = {"n1": k, "u1_1": coeffs.V * k, "phi1": k}
+    names = _FIELDS[d]
+    extra = []
+    if n2 is not None:
+        N2 = op.spec(n2.values)
+        if d == 2:
+            _kp_constraint_c(N2, op)
+        if source_evolution is None:
+            extra = [_closed_form_c(op, s)]
+        # u1_2 = coeff*n2 + correction, phi2 = n2 + correction, and the
+        # closures refreshed with the second-order density terms
+        coeff = coeffs.V if u1_second_coeff is None else float(u1_second_coeff)
+        s.update(n2=N2, u1_2=coeff * N2 + s["u1_corr"], phi2=N2 + s["phi_corr"])
+        _closures_c(op, s)
+        given["n2"] = n2.values
+        names = names + _SECOND[d]
+    derived = [name for name in names + _AUX[d] if name not in given]
+    real = irfft_c(np.stack([s[name] for name in derived] + extra), grid)
+    values = dict(given, **dict(zip(derived, real)))
+    if extra:
+        source_evolution = real[-1]
+    return ProfileHierarchy(grid=grid, d=d, order=1 if n2 is None else 2, time=time,
+                            coeffs=coeffs, fields={n: values[n] for n in names},
+                            aux={n: values[n] for n in _AUX[d]},
+                            source_evolution=source_evolution)
+
+
+# ---------------------------------------------------------------------------
+# first and second order
 
 
 def first_order_profiles_kp(n1: RealField, V: float, time: float = 0.0,
                             coeffs: LimitCoefficients = None) -> ProfileHierarchy:
     """First-order 2D hierarchy plus the first-order-determined corrections."""
-    if n1.grid.ndim != 2:
-        raise ConfigurationError("2D hierarchy needs a rank-2 grid")
-    check_kp_constraint(n1)
-    coeffs = coeffs or LimitCoefficients.for_equation("KP2", V)
-    op = _Ops(n1.grid)
-    ti = V * V - 1.0
-    k = n1.values
-
-    a1 = V * k
-    b1 = V * op.inv_d1(op.d(k, 1))
-    h = ProfileHierarchy(grid=n1.grid, d=2, order=1, time=time, coeffs=coeffs,
-                         fields={"n1": k, "u1_1": a1, "u2_1": b1, "phi1": k})
-
-    dtn1 = evolution_rhs(k, n1.grid, coeffs, "KP2")
-    dtb1 = V * op.inv_d1(op.d(dtn1, 1))
-    u1_corr = -op.inv_d1(dtn1 + op.d(op.prod(k, a1), 0) + op.d(b1, 1))
-    phi_corr = op.d(k, 0, 2) - 0.5 * op.prod(k, k)
-    u2_corr = op.inv_d1(dtb1 + op.prod(a1, op.d(b1, 0))
-                        - ti * op.prod(k, op.d(k, 1)) + op.d(phi_corr, 1)) / V
-    h.aux = {"u1_corr": u1_corr, "phi_corr": phi_corr, "u2_corr": u2_corr}
-    return h
+    return _hierarchy(n1, V, time, coeffs, "KP2")
 
 
 def first_order_profiles_zk(n1: RealField, V: float, time: float = 0.0,
                             coeffs: LimitCoefficients = None) -> ProfileHierarchy:
     """First-order 3D hierarchy: drift velocities, their streamwise
     companions, and the first-order-determined second-order corrections."""
-    if n1.grid.ndim != 3:
-        raise ConfigurationError("3D hierarchy needs a rank-3 grid")
-    coeffs = coeffs or LimitCoefficients.for_equation("ZK", V)
-    op = _Ops(n1.grid)
-    ti = V * V - 1.0
-    k = n1.values
-
-    a1 = V * k
-    b1 = -V * V * op.d(k, 2)
-    c1 = V * V * op.d(k, 1)
-    c2 = -V * op.d(b1, 0)
-    b2 = V * op.d(c1, 0)
-    h = ProfileHierarchy(grid=n1.grid, d=3, order=1, time=time, coeffs=coeffs,
-                         fields={"n1": k, "u1_1": a1, "u2_1": b1, "u3_1": c1,
-                                 "phi1": k, "u2_2": b2, "u3_2": c2})
-
-    dtn1 = evolution_rhs(k, n1.grid, coeffs, "ZK")
-    dtb1 = -V * V * op.d(dtn1, 2)
-    dtc1 = V * V * op.d(dtn1, 1)
-    u1_corr = -op.inv_d1(dtn1 + op.d(op.prod(k, a1), 0) + op.d(b2, 1) + op.d(c2, 2))
-    phi_corr = op.lap(k) - 0.5 * op.prod(k, k)
-    u3_3 = -V * op.d(b2, 0) - ti * op.prod(k, op.d(k, 1)) + op.d(phi_corr, 1)
-    u2_3 = V * op.d(c2, 0) + ti * op.prod(k, op.d(k, 2)) - op.d(phi_corr, 2)
-    u3_4 = dtb1 - V * op.d(u2_3, 0) + op.prod(a1, op.d(b1, 0))
-    u2_4 = -(dtc1 - V * op.d(u3_3, 0) + op.prod(a1, op.d(c1, 0)))
-    h.aux = {"u1_corr": u1_corr, "phi_corr": phi_corr,
-             "u2_3": u2_3, "u3_3": u3_3, "u2_4": u2_4, "u3_4": u3_4}
-    return h
-
-
-# ---------------------------------------------------------------------------
-# second order
-
-
-def _second_order_common(h: ProfileHierarchy, n2: np.ndarray,
-                         u1_second_coeff: float):
-    """Shared second-order fields: u1_2 = coeff*n2 + correction, phi2 = n2 +
-    correction."""
-    h.fields["n2"] = n2
-    h.fields["u1_2"] = u1_second_coeff * n2 + h.aux["u1_corr"]
-    h.fields["phi2"] = n2 + h.aux["phi_corr"]
-    h.order = 2
+    return _hierarchy(n1, V, time, coeffs, "ZK")
 
 
 def second_order_profiles_kp(n1: RealField, n2: RealField, V: float,
-                             time: float = 0.0,
-                             coeffs: LimitCoefficients = None,
+                             time: float = 0.0, coeffs: LimitCoefficients = None,
                              u1_second_coeff: float = None,
                              source_evolution: np.ndarray = None) -> ProfileHierarchy:
     """Order-2 2D hierarchy from first- and second-order density profiles."""
-    check_kp_constraint(n2)
-    h = first_order_profiles_kp(n1, V, time=time, coeffs=coeffs)
-    op = _Ops(h.grid)
-    V = h.V
-    ti = h.ion_temperature
-    coeff = V if u1_second_coeff is None else float(u1_second_coeff)
-    _second_order_common(h, n2.values, coeff)
-
-    k, a1, b1 = h.fields["n1"], h.fields["u1_1"], h.fields["u2_1"]
-    p2 = h.fields["phi2"]
-    dtn1 = evolution_rhs(k, h.grid, h.coeffs, "KP2")
-    dtb1 = V * op.inv_d1(op.d(dtn1, 1))
-    h.fields["u2_2"] = op.inv_d1(
-        dtb1 + op.prod(a1, op.d(b1, 0))
-        + ti * (op.d(n2.values, 1) - op.prod(k, op.d(k, 1)))
-        + op.d(p2, 1)) / V
-    if source_evolution is None:
-        source_evolution = assemble_lin_source_closed_form(
-            RealField(h.grid, k), h.coeffs, "KP2")
-    h.source_evolution = source_evolution
-    return h
+    return _hierarchy(n1, V, time, coeffs, "KP2", n2, u1_second_coeff,
+                      source_evolution)
 
 
 def second_order_profiles_zk(n1: RealField, n2: RealField, V: float,
-                             time: float = 0.0,
-                             coeffs: LimitCoefficients = None,
+                             time: float = 0.0, coeffs: LimitCoefficients = None,
                              u1_second_coeff: float = None,
                              source_evolution: np.ndarray = None) -> ProfileHierarchy:
     """Order-2 3D hierarchy; refreshes the transverse closures with the
     second-order density terms."""
-    h = first_order_profiles_zk(n1, V, time=time, coeffs=coeffs)
-    op = _Ops(h.grid)
-    V = h.V
-    ti = h.ion_temperature
-    coeff = V if u1_second_coeff is None else float(u1_second_coeff)
-    _second_order_common(h, n2.values, coeff)
-
-    k, a1 = h.fields["n1"], h.fields["u1_1"]
-    b1, c1 = h.fields["u2_1"], h.fields["u3_1"]
-    b2, c2 = h.fields["u2_2"], h.fields["u3_2"]
-    p2 = h.fields["phi2"]
-    n2v = n2.values
-    dtn1 = evolution_rhs(k, h.grid, h.coeffs, "ZK")
-    dtb1 = -V * V * op.d(dtn1, 2)
-    dtc1 = V * V * op.d(dtn1, 1)
-    u3_3 = -V * op.d(b2, 0) + ti * (op.d(n2v, 1) - op.prod(k, op.d(k, 1))) + op.d(p2, 1)
-    u2_3 = V * op.d(c2, 0) - ti * (op.d(n2v, 2) - op.prod(k, op.d(k, 2))) - op.d(p2, 2)
-    u3_4 = dtb1 - V * op.d(u2_3, 0) + op.prod(a1, op.d(b1, 0))
-    u2_4 = -(dtc1 - V * op.d(u3_3, 0) + op.prod(a1, op.d(c1, 0)))
-    h.aux.update({"u2_3": u2_3, "u3_3": u3_3, "u2_4": u2_4, "u3_4": u3_4})
-    if source_evolution is None:
-        source_evolution = assemble_lin_source_closed_form(
-            RealField(h.grid, k), h.coeffs, "ZK")
-    h.source_evolution = source_evolution
-    return h
+    return _hierarchy(n1, V, time, coeffs, "ZK", n2, u1_second_coeff,
+                      source_evolution)
 
 
 # ---------------------------------------------------------------------------
@@ -333,160 +375,108 @@ def second_order_profiles_zk(n1: RealField, n2: RealField, V: float,
 # cross-check is a hard test and part of residual_order_systems.
 
 
-def _combined_third_order(h: ProfileHierarchy, dtn2: np.ndarray, op: _Ops) -> np.ndarray:
+def _combined_third_order(op: _Ops, s: dict, dtn2: np.ndarray) -> np.ndarray:
     """The n3-free combination of the third-power system, divided by 2V.
 
     Vanishes exactly when the second-order density satisfies its linearized
     equation with a consistent inhomogeneity.
     """
-    V = h.V
-    ti = h.ion_temperature
-    f, aux = h.fields, h.aux
-    k = f["n1"]
-    a1 = f["u1_1"]
-    p1 = f["phi1"]
-    n2 = f.get("n2", np.zeros_like(k))
-    a2 = f.get("u1_2", aux["u1_corr"])
-    p2 = f.get("phi2", aux["phi_corr"])
+    D, P = op.d_c, op.prod_c
+    V = op.coeffs.V
+    ti = V * V - 1.0
+    k, a1, p1 = s["n1"], s["u1_1"], s["phi1"]
+    second = "n2" in s
+    n2 = s["n2"] if second else np.zeros_like(k)
+    a2 = s["u1_2"] if second else s["u1_corr"]
+    p2 = s["phi2"] if second else s["phi_corr"]
 
     # time derivative of u1_2 = coeff*n2 + correction: even when the
     # second-order density is instantaneously zero its tendency (the
     # inhomogeneity) is not, and it enters here with the same coefficient
-    dtu1_corr = _dt_u1_corr(h, op)
-    coeff = _infer_u1_second_coeff(h) if "n2" in f else h.V
-    dta2 = coeff * dtn2 + dtu1_corr
+    dta2 = _u1_second_coeff(op, s) * dtn2 + _dt_u1_corr(op, s)
 
-    cubic = op.prod(op.prod(p1, p1), p1)
-    if h.d == 2:
-        b1 = f["u2_1"]
-        b2 = f.get("u2_2", aux["u2_corr"])
-        continuity = (dtn2 + op.d(op.prod(k, a2) + op.prod(n2, a1), 0)
-                      + op.d(b2 + op.prod(k, b1), 1))
-        momentum = (dta2 + op.d(op.prod(a1, a2), 0) + op.prod(b1, op.d(a1, 1))
-                    + ti * (-op.prod(k, op.d(n2, 0))
-                            + op.prod(op.prod(k, k) - n2, op.d(k, 0))))
-        poisson = (op.d(p2, 0, 2) + op.d(p1, 1, 2) - op.prod(p1, p2) - cubic / 6.0)
-    else:
-        b1, c1 = f["u2_1"], f["u3_1"]
-        b2, c2 = f["u2_2"], f["u3_2"]
-        b4, c4 = aux["u2_4"], aux["u3_4"]
-        continuity = (dtn2 + op.d(op.prod(k, a2) + op.prod(n2, a1), 0)
-                      + op.d(b4 + op.prod(k, b2), 1)
-                      + op.d(c4 + op.prod(k, c2), 2))
-        momentum = (dta2 + op.d(op.prod(a1, a2), 0)
-                    + op.prod(b2, op.d(a1, 1)) + op.prod(c2, op.d(a1, 2))
-                    + ti * (-op.prod(k, op.d(n2, 0))
-                            + op.prod(op.prod(k, k) - n2, op.d(k, 0))))
-        poisson = (op.lap(p2) - op.prod(p1, p2) - cubic / 6.0)
-    return (V * continuity + momentum + op.d(poisson, 0)) / (2.0 * V)
+    continuity = dtn2 + D(P(k, a2) + P(n2, a1), 0)
+    momentum = (dta2 + D(P(a1, a2), 0)
+                + ti * (-P(k, D(n2, 0)) + P(P(k, k) - n2, D(k, 0))))
+    for axis, velocity, closure in _transverse(s, op.grid.ndim):
+        continuity = continuity + D(closure + P(k, velocity), axis)
+        momentum = momentum + P(velocity, D(a1, axis))
+    poisson = _poisson_linear(op, p2, p1) - P(p1, p2) - P(P(p1, p1), p1) / 6.0
+    return (V * continuity + momentum + D(poisson, 0)) / (2.0 * V)
 
 
-def _infer_u1_second_coeff(h: ProfileHierarchy) -> float:
+def _u1_second_coeff(op: _Ops, s: dict) -> float:
     """Recover the u1_2 = coeff*n2 + correction coefficient actually stored."""
-    f = h.fields
-    n2 = f["n2"]
-    num = f["u1_2"] - h.aux["u1_corr"]
-    denom = float(np.vdot(n2, n2).real)
+    w, n2 = op.weights, s.get("n2")
+    denom = 0.0 if n2 is None else float(np.sum(w * np.abs(n2) ** 2))
     if denom == 0.0:
-        return h.V
-    return float(np.vdot(n2, num).real) / denom
+        return op.coeffs.V
+    return float(np.sum(w * (n2.conj() * (s["u1_2"] - s["u1_corr"])).real)) / denom
 
 
-def _dt_u1_corr(h: ProfileHierarchy, op: _Ops) -> np.ndarray:
+def _dt_u1_corr(op: _Ops, s: dict) -> np.ndarray:
     """d/dt of the first-order streamwise correction, via the limit equation.
 
     Differentiating the correction's defining antiderivative in time needs
     the second time derivative of n1, obtained by pushing the model's own
     tendency through its linearization.
     """
-    from .limit_equations import symbol_array
-
-    V = h.V
-    cf = h.coeffs
-    k = h.fields["n1"]
-    dtn1 = evolution_rhs(k, h.grid, cf, h.equation)
-    sym = symbol_array(h.grid, cf, h.equation)
-    ddtn1 = (ifft_c(sym * fft_c(dtn1, h.grid), h.grid)
-             - cf.nonlinear * op.d(op.prod(k, dtn1), 0))
+    D, I = op.d_c, op.inv_d1_c
+    V = op.coeffs.V
+    k, dtn1 = s["n1"], s["dtn1"]
+    flux = D(op.prod_c(k, dtn1), 0)
+    ddtn1 = op.sym * dtn1 - op.coeffs.nonlinear * flux
     # d/dt of d1(n1*u1_1) with u1_1 = V*n1
-    dt_flux = 2.0 * V * op.d(op.prod(k, dtn1), 0)
-    if h.d == 2:
+    dt_flux = 2.0 * V * flux
+    if op.grid.ndim == 2:
         # d2 of d/dt(u2_1) = V inv_d1 d2 dtn1
-        dt_div = V * op.inv_d1(op.d(dtn1, 1, 2))
+        dt_div = V * I(D(dtn1, 1, 2))
     else:
-        lap_perp = op.d(dtn1, 1, 2) + op.d(dtn1, 2, 2)
-        dt_div = V ** 3 * op.d(lap_perp, 0)
-    return -op.inv_d1(ddtn1 + dt_flux + dt_div)
+        dt_div = V ** 3 * D(D(dtn1, 1, 2) + D(dtn1, 2, 2), 0)
+    return -I(ddtn1 + dt_flux + dt_div)
+
+
+def _mechanical_c(op: _Ops, s: dict) -> np.ndarray:
+    """Evolution-form inhomogeneity by mechanical substitution: the combined
+    third-power balance evaluated on the order-1 hierarchy, negated."""
+    g = -_combined_third_order(op, s, np.zeros_like(s["n1"]))
+    return _project_source_2d(op, g) if op.grid.ndim == 2 else g
+
+
+def _closed_form_c(op: _Ops, s: dict) -> np.ndarray:
+    """Evolution-form inhomogeneity from the hand-collapsed expression, on
+    the first-order spectra ``s``."""
+    D, P = op.d_c, op.prod_c
+    V = op.coeffs.V
+    ti = V * V - 1.0
+    k, U, phi = s["n1"], s["u1_corr"], s["phi_corr"]
+    kk = P(k, k)
+    w = (_dt_u1_corr(op, s) + 2.0 * V * D(P(k, U), 0)
+         + ti * P(kk, D(k, 0))
+         - D(P(kk, k), 0) / 6.0
+         + D(_poisson_linear(op, phi, k), 0) - D(P(k, phi), 0))
+    for axis, velocity, closure in _transverse(s, op.grid.ndim):
+        w = w + V * (D(closure, axis) + D(P(k, velocity), axis)
+                     + P(velocity, D(k, axis)))
+    g = -w / (2.0 * V)
+    return _project_source_2d(op, g) if op.grid.ndim == 2 else g
 
 
 def assemble_lin_source_mechanical(n1: RealField, coeffs: LimitCoefficients,
                                    equation: str) -> np.ndarray:
-    """Evolution-form inhomogeneity by mechanical substitution: the combined
-    third-power balance evaluated on the order-1 hierarchy, negated."""
-    if equation == "KP2":
-        h = first_order_profiles_kp(n1, coeffs.V, coeffs=coeffs)
-    else:
-        h = first_order_profiles_zk(n1, coeffs.V, coeffs=coeffs)
-    op = _Ops(h.grid)
-    combined = _combined_third_order(h, np.zeros_like(n1.values), op)
-    g = -combined
-    if equation == "KP2":
-        g = _project_source_2d(g, h.grid)
-    return g
+    """Evolution-form inhomogeneity by mechanical substitution."""
+    op, K = _setup(n1, coeffs, equation)
+    return irfft_c(_mechanical_c(op, _first_order_c(op, K)), n1.grid)
 
 
 def assemble_lin_source_closed_form(n1: RealField, coeffs: LimitCoefficients,
                                     equation: str) -> np.ndarray:
     """Evolution-form inhomogeneity from the hand-collapsed expression."""
-    grid = n1.grid
-    op = _Ops(grid)
-    V = coeffs.V
-    ti = V * V - 1.0
-    k = n1.values
-    a1 = V * k
-    dtn1 = evolution_rhs(k, grid, coeffs, equation)
-
-    if equation == "KP2":
-        h = first_order_profiles_kp(n1, V, coeffs=coeffs)
-        U, P, B = h.aux["u1_corr"], h.aux["phi_corr"], h.aux["u2_corr"]
-        b1 = h.fields["u2_1"]
-        dtU = _dt_u1_corr(h, op)
-        w = (dtU + 2.0 * V * op.d(op.prod(k, U), 0)
-             + V * op.d(B, 1) + V * op.d(op.prod(k, b1), 1)
-             + V * op.prod(b1, op.d(k, 1))
-             + ti * op.prod(op.prod(k, k), op.d(k, 0))
-             - op.d(op.prod(op.prod(k, k), k), 0) / 6.0
-             + op.d(P, 0, 3) - op.d(op.prod(k, P), 0)
-             + op.d(op.d(k, 1, 2), 0))
-    else:
-        h = first_order_profiles_zk(n1, V, coeffs=coeffs)
-        U, P = h.aux["u1_corr"], h.aux["phi_corr"]
-        b1, c1 = h.fields["u2_1"], h.fields["u3_1"]
-        b2, c2 = h.fields["u2_2"], h.fields["u3_2"]
-        b4, c4 = h.aux["u2_4"], h.aux["u3_4"]
-        dtU = _dt_u1_corr(h, op)
-        w = (dtU + 2.0 * V * op.d(op.prod(k, U), 0)
-             + V * (op.d(b4, 1) + op.d(c4, 2))
-             + V * (op.d(op.prod(k, b2), 1) + op.d(op.prod(k, c2), 2))
-             + V * (op.prod(b2, op.d(k, 1)) + op.prod(c2, op.d(k, 2)))
-             + ti * op.prod(op.prod(k, k), op.d(k, 0))
-             - op.d(op.prod(op.prod(k, k), k), 0) / 6.0
-             + op.d(op.lap(P), 0) - op.d(op.prod(k, P), 0))
-    g = -w / (2.0 * V)
-    if equation == "KP2":
-        g = _project_source_2d(g, grid)
-    return g
+    op, K = _setup(n1, coeffs, equation)
+    return irfft_c(_closed_form_c(op, _first_order_c(op, K)), n1.grid)
 
 
-def _drop_streamwise_plane(values: np.ndarray, grid: Grid) -> np.ndarray:
-    c = fft_c(values, grid)
-    plane = np.broadcast_to(np.isclose(grid.wavenumber(0), 0.0), grid.shape)
-    out = c.copy()
-    out[plane] = 0.0
-    return ifft_c(out, grid)
-
-
-def _project_source_2d(g: np.ndarray, grid: Grid) -> np.ndarray:
+def _project_source_2d(op: _Ops, g: np.ndarray) -> np.ndarray:
     """Drop the streamwise-mean plane of a 2D inhomogeneity.
 
     The primitive third-power balance is streamwise-differentiated, so it
@@ -496,19 +486,14 @@ def _project_source_2d(g: np.ndarray, grid: Grid) -> np.ndarray:
     large value means the term collection itself is wrong, which is a hard
     error.
     """
-    c = fft_c(g, grid)
-    k1 = grid.wavenumber(0)
-    plane = np.broadcast_to(np.isclose(k1, 0.0), grid.shape)
-    norm = math.sqrt(grid.volume * float(np.sum(np.abs(c[plane]) ** 2)))
-    scale = max(1.0, l2_norm_c(c, grid))
+    norm = op.norm_c(g * op.plane)
+    scale = max(1.0, op.norm_c(g))
     if norm > 0.1 * scale:
         raise NumericalError(
             f"inhomogeneity carries streamwise-mean content (L2 {norm:.3e}) "
             f"far above the mean-dynamics level; the term collection is "
             f"inconsistent")
-    out = c.copy()
-    out[plane] = 0.0
-    return ifft_c(out, grid)
+    return np.where(op.plane, 0.0, g)
 
 
 def second_order_sources_kp(n1: RealField, V: float,
@@ -517,9 +502,8 @@ def second_order_sources_kp(n1: RealField, V: float,
     convention, assembled mechanically (cross-checked against the closed form
     by the test suite and by residual_order_systems)."""
     coeffs = coeffs or LimitCoefficients.for_equation("KP2", V)
-    g_evol = assemble_lin_source_mechanical(n1, coeffs, "KP2")
-    op = _Ops(n1.grid)
-    g_diff = op.d(g_evol, 0)
+    op, K = _setup(n1, coeffs, "KP2")
+    g_diff = irfft_c(op.d_c(_mechanical_c(op, _first_order_c(op, K)), 0), n1.grid)
     values = n1.values
     return LinearizedSource(grid=n1.grid, background=lambda t: values,
                             source=lambda t: g_diff, source_form="differentiated")
@@ -642,102 +626,84 @@ def residual_order_systems(h: ProfileHierarchy, params: ScalingParams) -> Residu
     combination of the epsilon^3 system are added.  The half-power systems at
     epsilon^(7/2) involve third-order fields outside the supported truncation
     and are not evaluated.  PASS means L2 residual <= 1e-8 * (1 + ||n1||_H4).
+    The stored fields are transformed once and the residuals stay spectra.
     """
     if params.dim != h.d:
         raise ConfigurationError(f"hierarchy dim {h.d} != params dim {params.dim}")
     if abs(params.wave_speed - h.V) > 1e-13:
         raise ConfigurationError(
             f"params wave speed {params.wave_speed} != hierarchy V {h.V}")
-    op = _Ops(h.grid)
-    tol = 1e-8 * (1.0 + op.hs(h.fields["n1"], 4))
-    residuals = _order_system_residuals(h, op)
+    op = _Ops(h.grid, h.coeffs, h.equation)
+    s = op.specs({name.removeprefix("aux:"): h.get(name)
+                  for name in h.live_field_names()})
+    tol = 1e-8 * (1.0 + op.norm_c(s["n1"], 4))
     entries = {}
-    for tag, values in residuals.items():
-        l2 = op.l2(values)
-        entries[tag] = {"l2": l2, "h2": op.hs(values, 2), "passed": l2 <= tol}
+    for tag, c in _order_system_residuals(h, op, s).items():
+        l2 = op.norm_c(c)
+        entries[tag] = {"l2": l2, "h2": op.norm_c(c, 2), "passed": l2 <= tol}
     return ResidualReport(tolerance=tol, entries=entries)
 
 
-def _order_system_residuals(h: ProfileHierarchy, op: _Ops) -> dict:
+def _order_system_residuals(h: ProfileHierarchy, op: _Ops, s: dict) -> dict:
+    D, P = op.d_c, op.prod_c
     V = h.V
     ti = h.ion_temperature
-    f, aux = h.fields, h.aux
-    k, a1, p1 = f["n1"], f["u1_1"], f["phi1"]
-    dtn1 = evolution_rhs(k, h.grid, h.coeffs, h.equation)
-    dta1 = V * dtn1
+    k, a1, p1 = s["n1"], s["u1_1"], s["phi1"]
+    s["dtn1"] = dtn1 = op.evolution_c(k)
     second = h.order >= 2
-    zeros = np.zeros_like(k)
-    n2 = f.get("n2", zeros)
-    a2 = f["u1_2"] if second else aux["u1_corr"]
-    p2 = f["phi2"] if second else aux["phi_corr"]
+    n2 = s["n2"] if second else np.zeros_like(k)
+    a2 = s["u1_2"] if second else s["u1_corr"]
+    p2 = s["phi2"] if second else s["phi_corr"]
     # time derivative of the second-order density from its governing
     # equation, with the independently derived closed-form inhomogeneity;
     # the third-power combination then cross-checks the two source routes
-    dtn2 = linearized_rhs(n2, k, _residual_source(h), h.grid, h.coeffs,
-                          "LinKP" if h.d == 2 else "LinZK")
+    dtn2 = op.linearized_c(n2, k, _residual_source(h, op, k))
 
-    out = {}
+    out = {"eps1/continuity": -V * D(k, 0) + D(a1, 0),
+           "eps1/momentum_x": -V * D(a1, 0) + ti * D(k, 0) + D(p1, 0),
+           "eps1/poisson": p1 - k}
+    eps2 = {
+        "eps2/continuity": (dtn1 - V * D(n2, 0) + D(a2 + P(k, a1), 0)
+                            + sum(D(vel, axis) for axis, vel, _ in _transverse(s, h.d))),
+        "eps2/momentum_x": (V * dtn1 - V * D(a2, 0) + P(a1, D(a1, 0))
+                            + ti * (D(n2, 0) - P(k, D(k, 0))) + D(p2, 0)),
+        "eps2/poisson": _poisson_linear(op, p1, 0.0) - p2 - 0.5 * P(p1, p1) + n2,
+    }
     if h.d == 2:
-        b1 = f["u2_1"]
-        b2 = f["u2_2"] if second else aux["u2_corr"]
-        dtb1 = V * op.inv_d1(op.d(dtn1, 1))
-        out["eps1/continuity"] = -V * op.d(k, 0) + op.d(a1, 0)
-        out["eps1/momentum_x"] = -V * op.d(a1, 0) + ti * op.d(k, 0) + op.d(p1, 0)
-        out["eps1/poisson"] = p1 - k
-        out["eps3_2/momentum_y"] = -V * op.d(b1, 0) + ti * op.d(k, 1) + op.d(p1, 1)
-        out["eps2/continuity"] = (dtn1 - V * op.d(n2, 0)
-                                  + op.d(a2 + op.prod(k, a1), 0) + op.d(b1, 1))
-        out["eps2/momentum_x"] = (dta1 - V * op.d(a2, 0) + op.prod(a1, op.d(a1, 0))
-                                  + ti * (op.d(n2, 0) - op.prod(k, op.d(k, 0)))
-                                  + op.d(p2, 0))
-        out["eps2/poisson"] = (op.d(p1, 0, 2) - p2 - 0.5 * op.prod(p1, p1) + n2)
-        out["eps5_2/momentum_y"] = (dtb1 - V * op.d(b2, 0)
-                                    + op.prod(a1, op.d(b1, 0))
-                                    + ti * (op.d(n2, 1) - op.prod(k, op.d(k, 1)))
-                                    + op.d(p2, 1))
+        b1 = s["u2_1"]
+        b2 = _transverse(s, 2)[0][2]
+        out["eps3_2/momentum_y"] = -V * D(b1, 0) + ti * D(k, 1) + D(p1, 1)
+        out.update(eps2)
+        out["eps5_2/momentum_y"] = (V * op.inv_d1_c(D(dtn1, 1)) - V * D(b2, 0)
+                                    + P(a1, D(b1, 0))
+                                    + ti * (D(n2, 1) - P(k, D(k, 1))) + D(p2, 1))
         # primitive form is streamwise-differentiated: the k1=0 plane is
         # outside the balance and is dropped before taking norms
-        out["eps3/combined"] = _drop_streamwise_plane(
-            _combined_third_order(h, dtn2, op), h.grid)
-    else:
-        b1, c1 = f["u2_1"], f["u3_1"]
-        b2, c2 = f["u2_2"], f["u3_2"]
-        b3, c3 = aux["u2_3"], aux["u3_3"]
-        b4, c4 = aux["u2_4"], aux["u3_4"]
-        dtb1 = -V * V * op.d(dtn1, 2)
-        dtc1 = V * V * op.d(dtn1, 1)
-        out["eps1/continuity"] = -V * op.d(k, 0) + op.d(a1, 0)
-        out["eps1/momentum_x"] = -V * op.d(a1, 0) + ti * op.d(k, 0) + op.d(p1, 0)
-        out["eps1/poisson"] = p1 - k
-        out["eps1/momentum_y"] = ti * op.d(k, 1) + op.d(p1, 1) - c1
-        out["eps1/momentum_z"] = ti * op.d(k, 2) + op.d(p1, 2) + b1
-        out["eps3_2/continuity"] = op.d(b1, 1) + op.d(c1, 2)
-        out["eps3_2/momentum_y"] = -V * op.d(b1, 0) - c2
-        out["eps3_2/momentum_z"] = -V * op.d(c1, 0) + b2
-        out["eps2/continuity"] = (dtn1 - V * op.d(n2, 0)
-                                  + op.d(a2 + op.prod(k, a1), 0)
-                                  + op.d(b2, 1) + op.d(c2, 2))
-        out["eps2/momentum_x"] = (dta1 - V * op.d(a2, 0) + op.prod(a1, op.d(a1, 0))
-                                  + ti * (op.d(n2, 0) - op.prod(k, op.d(k, 0)))
-                                  + op.d(p2, 0))
-        out["eps2/poisson"] = op.lap(p1) - p2 - 0.5 * op.prod(p1, p1) + n2
-        out["eps2/momentum_y"] = (-V * op.d(b2, 0)
-                                  + ti * (op.d(n2, 1) - op.prod(k, op.d(k, 1)))
-                                  + op.d(p2, 1) - c3)
-        out["eps2/momentum_z"] = (-V * op.d(c2, 0)
-                                  + ti * (op.d(n2, 2) - op.prod(k, op.d(k, 2)))
-                                  + op.d(p2, 2) + b3)
-        out["eps5_2/continuity"] = (op.d(b3 + op.prod(k, b1), 1)
-                                    + op.d(c3 + op.prod(k, c1), 2))
-        out["eps5_2/momentum_x"] = (op.prod(b1, op.d(a1, 1))
-                                    + op.prod(c1, op.d(a1, 2)))
-        out["eps5_2/momentum_y"] = dtb1 - V * op.d(b3, 0) + op.prod(a1, op.d(b1, 0)) - c4
-        out["eps5_2/momentum_z"] = dtc1 - V * op.d(c3, 0) + op.prod(a1, op.d(c1, 0)) + b4
-        out["eps3/combined"] = _combined_third_order(h, dtn2, op)
+        out["eps3/combined"] = np.where(op.plane, 0.0,
+                                        _combined_third_order(op, s, dtn2))
+        return out
+    b1, c1, b2, c2, b3, c3, b4, c4 = (s[f"u{i}_{j}"] for j in range(1, 5) for i in (2, 3))
+    out["eps1/momentum_y"] = ti * D(k, 1) + D(p1, 1) - c1
+    out["eps1/momentum_z"] = ti * D(k, 2) + D(p1, 2) + b1
+    out["eps3_2/continuity"] = D(b1, 1) + D(c1, 2)
+    out["eps3_2/momentum_y"] = -V * D(b1, 0) - c2
+    out["eps3_2/momentum_z"] = -V * D(c1, 0) + b2
+    out.update(eps2)
+    out["eps2/momentum_y"] = (-V * D(b2, 0) + ti * (D(n2, 1) - P(k, D(k, 1)))
+                              + D(p2, 1) - c3)
+    out["eps2/momentum_z"] = (-V * D(c2, 0) + ti * (D(n2, 2) - P(k, D(k, 2)))
+                              + D(p2, 2) + b3)
+    out["eps5_2/continuity"] = D(b3 + P(k, b1), 1) + D(c3 + P(k, c1), 2)
+    out["eps5_2/momentum_x"] = P(b1, D(a1, 1)) + P(c1, D(a1, 2))
+    out["eps5_2/momentum_y"] = (-V * V * D(dtn1, 2) - V * D(b3, 0)
+                                + P(a1, D(b1, 0)) - c4)
+    out["eps5_2/momentum_z"] = (V * V * D(dtn1, 1) - V * D(c3, 0)
+                                + P(a1, D(c1, 0)) + b4)
+    out["eps3/combined"] = _combined_third_order(op, s, dtn2)
     return out
 
 
-def _residual_source(h: ProfileHierarchy) -> np.ndarray:
+def _residual_source(h: ProfileHierarchy, op: _Ops, k: np.ndarray) -> np.ndarray:
     """Evolution-form inhomogeneity for residual-time derivatives.
 
     Deliberately taken from the closed-form assembly so the combined
@@ -745,6 +711,5 @@ def _residual_source(h: ProfileHierarchy) -> np.ndarray:
     the independently derived expression.
     """
     if h.source_evolution is not None:
-        return h.source_evolution
-    return assemble_lin_source_closed_form(
-        RealField(h.grid, h.fields["n1"]), h.coeffs, h.equation)
+        return op.spec(h.source_evolution)
+    return _closed_form_c(op, _first_order_c(op, k))

@@ -101,20 +101,96 @@ def weighted_ksq(grid: Grid, params: ScalingParams) -> np.ndarray:
     return ksq
 
 
-def antiderivative_x1_c(coeffs: np.ndarray, grid: Grid, ztol: float) -> np.ndarray:
-    """Division by ``i k1``; requires the k1=0 planes to be empty up to ztol."""
-    k1 = grid.wavenumber(0)
-    zero_plane = np.isclose(k1, 0.0)
-    offending = math.sqrt(grid.volume * np.sum(np.abs(coeffs * zero_plane) ** 2))
-    if offending > ztol:
-        raise ConstraintError(
-            "antiderivative along axis 0 needs zero streamwise mean; "
-            f"k1=0 content has L2 norm {offending:.3e} (tolerance {ztol:.3e})",
-            offending_norm=offending)
-    factor = deriv_factor(grid, 0, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(factor == 0.0, 0.0, 1.0 / np.where(factor == 0.0, 1.0, factor))
-    return coeffs * inv
+class HalfOps:
+    """Operator set of one grid on the half spectrum, built once per solve or
+    call: tables cut with :func:`half` (dealias mask, ``(i k_a)^p``,
+    ``-|k|^2``, the antiderivative factor with its k1 = 0 plane, Parseval
+    weights) acting elementwise on half spectra or stacks of them.  A
+    dealiased product sends its factors back in one batched inverse transform
+    and comes forward in one.  Samples given to :meth:`specs`, their spectra
+    and their products are pinned for the set's life and memoised by identity
+    (never modify one in place); temporaries pass through unheld."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.mask = half(dealias_mask(grid), grid)
+        self.neg_ksq = half(-sum(grid.wavenumber(a) ** 2 for a in range(grid.ndim)), grid)
+        self.plane = half(np.isclose(grid.wavenumber(0), 0.0), grid)
+        # Parseval weights: last-axis columns 1 .. n/2-1 stand for a
+        # conjugate pair and count twice
+        self.weights = np.full(grid.dims[-1] // 2 + 1, 2.0)
+        self.weights[[0, -1]] = 1.0
+        self._ik = {}
+        ik1 = self.ik(0)
+        self.inv_ik1 = np.where(ik1 == 0.0, 0.0, 1.0 / np.where(ik1 == 0.0, 1.0, ik1))
+        self._memo = {}    # ("spec"|"view"|"prod", ids of pinned arrays) -> value
+        self._pinned = {}  # id -> array
+
+    def ik(self, axis: int, order: int = 1) -> np.ndarray:
+        if (axis, order) not in self._ik:
+            self._ik[axis, order] = half(deriv_factor(self.grid, axis, order), self.grid)
+        return self._ik[axis, order]
+
+    def d_c(self, c: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
+        return c * self.ik(axis, order)
+
+    def lap_c(self, c: np.ndarray) -> np.ndarray:
+        return self.neg_ksq * c
+
+    def norm_c(self, c: np.ndarray, s: int = 0) -> float:
+        """Continuum H^s norm (L2 at s = 0) of a half spectrum, or of a whole
+        stack of them."""
+        w = self.weights if s == 0 else self.weights * (1.0 - self.neg_ksq) ** s
+        return math.sqrt(self.grid.volume * float(np.sum(w * np.abs(c) ** 2)))
+
+    def inv_d1_c(self, c: np.ndarray, ztol: float = None) -> np.ndarray:
+        """Division by ``i k1``; the k1 = 0 planes must be empty up to ztol
+        (default ``1e-8 * max(1, ||c||_L2)``)."""
+        if ztol is None:
+            ztol = 1e-8 * max(1.0, self.norm_c(c))
+        offending = self.norm_c(c * self.plane)
+        if offending > ztol:
+            raise ConstraintError(
+                "antiderivative along axis 0 needs zero streamwise mean; "
+                f"k1=0 content has L2 norm {offending:.3e} (tolerance {ztol:.3e})",
+                offending_norm=offending)
+        return c * self.inv_ik1
+
+    def _pin(self, array: np.ndarray) -> np.ndarray:
+        self._pinned[id(array)] = array
+        return array
+
+    def spec(self, values: np.ndarray) -> np.ndarray:
+        return self.specs({None: values})[None]
+
+    def specs(self, named: dict) -> dict:
+        """Half spectra of named samples; the new ones in one batch."""
+        new = [v for v in {id(v): v for v in named.values()}.values()
+               if ("spec", id(v)) not in self._memo]
+        if new:
+            for v, c in zip(new, rfft_c(np.stack(new), self.grid)):
+                self._memo["spec", id(self._pin(v))] = self._pin(c)
+        return {name: self._memo["spec", id(v)] for name, v in named.items()}
+
+    def prod_c(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Dealiased product of two half spectra (the one product convention)."""
+        key = ("prod",) + tuple(sorted((id(a), id(b))))
+        if key in self._memo:
+            return self._memo[key]
+        out = np.zeros_like(a)
+        if a.any() and b.any():
+            views = {i: self._memo.get(("view", i)) for i in (id(a), id(b))}
+            new = {i: c for i, c in ((id(a), a), (id(b), b)) if views[i] is None}
+            if new:
+                fresh = irfft_c(self.mask * np.stack(list(new.values())), self.grid)
+                for i, v in zip(new, fresh):
+                    views[i] = v
+                    if i in self._pinned:
+                        self._memo["view", i] = v
+            out = self.mask * rfft_c(views[id(a)] * views[id(b)], self.grid)
+        if id(a) in self._pinned and id(b) in self._pinned:
+            self._memo[key] = self._pin(out)
+        return out
 
 
 def l2_norm_c(coeffs: np.ndarray, grid: Grid) -> float:
@@ -233,7 +309,8 @@ def antiderivative_x1(f: RealField, ztol: float = None) -> RealField:
     (default ``1e-10 * ||f||_L2``); otherwise a :class:`ConstraintError`
     carrying the offending norm is raised.
     """
-    c = fft_c(f.values, f.grid)
+    ops = HalfOps(f.grid)
+    c = rfft_c(f.values, f.grid)
     if ztol is None:
-        ztol = 1e-10 * l2_norm_c(c, f.grid)
-    return RealField(f.grid, ifft_c(antiderivative_x1_c(c, f.grid, ztol), f.grid))
+        ztol = 1e-10 * ops.norm_c(c)
+    return RealField(f.grid, irfft_c(ops.inv_d1_c(c, ztol), f.grid))

@@ -109,3 +109,79 @@ def test_rhs_on_a_conjugate_half_mode_matches_the_symbol(grid2d):
     got = np.array([fft_c(f.values, grid2d)[kidx] for f in (dn, *du)])
     assert np.max(np.abs(expect)) > amp
     assert np.max(np.abs(got - expect)) < 50 * amp ** 2 / eps + 1e-12
+
+
+# -- the profile layer's operator set against a full-layout numpy.fft reference
+
+
+def _reference(grid):
+    """Full-layout wavenumbers, odd-order derivative factors and the
+    two-thirds mask, built with numpy.fft alone."""
+    k = [2 * np.pi * np.fft.fftfreq(n, d=length / n)
+         for n, length in zip(grid.dims, grid.lengths)]
+    k = [ka.reshape([-1 if a == b else 1 for b in range(grid.ndim)])
+         for a, ka in enumerate(k)]
+    idx = [np.abs(np.rint(np.fft.fftfreq(n) * n)) for n in grid.dims]
+    mask = np.ones(grid.shape, dtype=bool)
+    for a, ia in enumerate(idx):
+        mask &= (ia <= grid.dims[a] / 3).reshape(k[a].shape)
+
+    def ik(a, p):
+        factor = (1j * k[a]) ** p
+        nyquist = np.isclose(np.abs(k[a]), np.pi * grid.dims[a] / grid.lengths[a])
+        return np.where(nyquist, 0.0, factor) if p % 2 else factor
+
+    return k, mask, ik
+
+
+def _close(got, ref):
+    scale = max(np.max(np.abs(ref)), 1e-300)
+    return np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=grids(), seed=seeds, axis=st.integers(0, 2), order=st.integers(1, 3))
+def test_profile_operators_match_a_full_layout_reference(grid, seed, axis, order):
+    from disperlim.profiles import _Ops
+
+    axis = axis % grid.ndim
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((2,) + grid.shape)
+    k, mask, ik = _reference(grid)
+    fa, fb = np.fft.fftn(a), np.fft.fftn(b)
+    op = _Ops(grid)
+
+    assert _close(op.d(a, axis, order), np.fft.ifftn(ik(axis, order) * fa).real)
+    am = np.fft.ifftn(mask * fa).real
+    bm = np.fft.ifftn(mask * fb).real
+    assert _close(op.prod(a, b), np.fft.ifftn(mask * np.fft.fftn(am * bm)).real)
+    ksq = sum(ka ** 2 for ka in k)
+    assert _close(op.lap(a), np.fft.ifftn(-ksq * fa).real)
+    # the antiderivative needs an empty k1 = 0 plane: drop each line's mean
+    z = a - a.mean(axis=0, keepdims=True)
+    ik1 = ik(0, 1)
+    inv = np.where(ik1 == 0, 0.0, 1.0 / np.where(ik1 == 0, 1.0, ik1))
+    assert _close(op.inv_d1(z), np.fft.ifftn(inv * np.fft.fftn(z)).real)
+    coeffs = fa / grid.npoints
+    for s in (0, 2, 4):
+        ref = np.sqrt(grid.volume * np.sum((1 + ksq) ** s * np.abs(coeffs) ** 2))
+        got = op.l2(a) if s == 0 else op.hs(a, s)
+        assert abs(got - ref) <= 1e-12 * ref
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=grids(), seed=seeds)
+def test_profile_tendencies_are_the_solvers(grid, seed):
+    from disperlim.limit_equations import (LimitCoefficients, evolution_rhs,
+                                           linearized_rhs)
+    from disperlim.profiles import _Ops
+
+    equation = "KP2" if grid.ndim == 2 else "ZK"
+    coeffs = LimitCoefficients.for_equation(equation, 1.3)
+    n1, n2, g = np.random.default_rng(seed).standard_normal((3,) + grid.shape)
+    op = _Ops(grid, coeffs, equation)
+    K, N, S = (op.spec(x) for x in (n1, n2, g))
+    assert _close(irfft_c(op.evolution_c(K), grid),
+                  evolution_rhs(n1, grid, coeffs, equation))
+    assert _close(irfft_c(op.linearized_c(N, K, S), grid),
+                  linearized_rhs(n2, n1, g, grid, coeffs, equation))

@@ -1,14 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
 
 import disperlim as dl
 from disperlim import (ConfigurationError, ConstraintError, LimitConfig,
-                       RealField, conserved_quantities, kdv_line_soliton,
-                       kp2_linear_symbol, solve_kdv, solve_kp2,
-                       solve_linearized_kp, solve_linearized_zk, solve_zk,
-                       zero_mean_soliton, zk_linear_symbol)
+                       NumericalError, RealField, conserved_quantities,
+                       kdv_line_soliton, kp2_linear_symbol, solve_kdv,
+                       solve_kp2, solve_linearized_kp, solve_linearized_zk,
+                       solve_zk, zero_mean_soliton, zk_linear_symbol)
 from disperlim.initial_data import gaussian_zero_mean
-from disperlim.limit_equations import LimitCoefficients, LinearizedSource
+from disperlim.limit_equations import (LimitCoefficients, LinearizedSource,
+                                       solve_coupled_order2)
 from disperlim.spectral import fft_c
 
 V2 = float(np.sqrt(2.0))
@@ -244,3 +247,35 @@ class TestConservedQuantities:
         g = dl.build_grid([8], [1.0])
         with pytest.raises(ConfigurationError):
             conserved_quantities(RealField.zeros(g), "LinKP", 1.0)
+
+
+class TestMarch:
+    def test_dt_rounding_is_logged(self, caplog):
+        g = dl.build_grid([32, 32], [40.0, 40.0])
+        n0 = gaussian_zero_mean(g, amplitude=0.3, width=3.0)
+        cfg = LimitConfig(V=V2, dt=3e-3, T=0.01, equation="KP2", snapshots=1)
+        with caplog.at_level(logging.INFO, logger="disperlim.limit_equations"):
+            traj = solve_kp2(n0, cfg)
+        events = [r for r in caplog.records if getattr(r, "event", None) == "dt_rounded"]
+        assert len(events) == 1
+        assert events[0].requested_dt == 3e-3
+        assert events[0].effective_dt == pytest.approx(0.0025, rel=1e-14)
+        assert traj.config.dt == events[0].effective_dt
+
+    def test_coupled_keeps_a_config_whose_dt_divides_T(self, caplog):
+        g = dl.build_grid([32, 32], [40.0, 40.0])
+        n0 = gaussian_zero_mean(g, amplitude=0.3, width=3.0)
+        cfg = LimitConfig(V=V2, dt=2.5e-3, T=0.01, equation="KP2", snapshots=2)
+        with caplog.at_level(logging.INFO, logger="disperlim.limit_equations"):
+            t1, t2 = solve_coupled_order2(n0, RealField.zeros(g), cfg,
+                                          lambda v: 0.0 * v)
+        assert t1.config is cfg and t2.config is cfg
+        assert not [r for r in caplog.records if getattr(r, "event", None)]
+
+    def test_coupled_blowup_guard_trips(self):
+        g = dl.build_grid([32, 32], [40.0, 40.0])
+        n0 = gaussian_zero_mean(g, amplitude=0.3, width=3.0)
+        cfg = LimitConfig(V=V2, dt=1e-3, T=0.01, equation="KP2", snapshots=2)
+        with pytest.raises(NumericalError, match="blow-up guard"):
+            solve_coupled_order2(n0, RealField.zeros(g), cfg,
+                                 lambda n1_values: 1e8 * n1_values)

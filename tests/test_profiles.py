@@ -257,3 +257,56 @@ class TestAssembly:
         agg = tilde_aggregates(h, eps)
         assert np.array_equal(agg["n"], h.fields["n1"])
         assert np.array_equal(agg["u"][1], np.sqrt(eps) * h.fields["u2_1"])
+
+
+class TestTransformBudget:
+    """Field transforms of one source assembly and one order-2 residual check
+    (a batched stack of m fields counts m), counted at the transform layer."""
+
+    @staticmethod
+    def counting(monkeypatch):
+        import math
+        import types
+
+        import scipy.fft
+
+        from disperlim import spectral
+
+        count = [0]
+
+        def wrap(fn):
+            def counted(x, *args, axes=None, **kwargs):
+                done = {a % np.ndim(x) for a in axes}
+                count[0] += math.prod(n for a, n in enumerate(np.shape(x))
+                                      if a not in done)
+                return fn(x, *args, axes=axes, **kwargs)
+            return counted
+
+        names = ("fftn", "ifftn", "rfftn", "irfftn")
+        monkeypatch.setattr(spectral, "_fft", types.SimpleNamespace(
+            **{name: wrap(getattr(scipy.fft, name)) for name in names}))
+        return count
+
+    @pytest.mark.parametrize("dims,lengths,V,width", [
+        ([32, 32], [40.0, 40.0], V2, 3.0),
+        ([16, 16, 16], [20.0] * 3, 1.0, 2.4)])
+    def test_source_and_residual_budgets(self, monkeypatch, dims, lengths, V, width):
+        g = dl.build_grid(dims, lengths)
+        d = len(dims)
+        equation = "KP2" if d == 2 else "ZK"
+        n1 = gaussian_zero_mean(g, amplitude=0.3, width=width)
+        n2 = gaussian_zero_mean(g, amplitude=0.1, width=width + 1.0)
+        co = LimitCoefficients.for_equation(equation, V)
+        build = second_order_profiles_kp if d == 2 else second_order_profiles_zk
+        h = build(n1, n2, V)
+        p = ScalingParams(epsilon=0.1, ion_temperature=V * V - 1.0, dim=d)
+        count = self.counting(monkeypatch)
+        assemble_lin_source_closed_form(n1, co, equation)
+        source = count[0]
+        count[0] = 0
+        rep = residual_order_systems(h, p)
+        assert rep.all_pass, rep.summary()
+        # the full-layout layer spent 155/200 (2D/3D) on the source and
+        # 228/330 on the residual
+        assert 0 < source <= 60
+        assert 0 < count[0] <= 150
