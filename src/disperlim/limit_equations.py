@@ -253,24 +253,6 @@ def _kp_constraint_c(c: np.ndarray, ops: HalfOps, ztol: float = None) -> float:
 # generic driver
 
 
-def _snapshot_guard(ops: HalfOps, vhat0: np.ndarray):
-    """Snapshot check of a march: a non-finite spectrum, or an H2 norm above
-    10x the initial one (above 1 when that is zero), raises NumericalError."""
-    guard0 = ops.norm_c(vhat0, 2)
-    guard = 10.0 * guard0 if guard0 > 1e-14 else 1.0
-
-    def check(vhat, t):
-        if not np.all(np.isfinite(vhat)):
-            raise NumericalError(f"non-finite spectrum at t = {t:.6g}")
-        h2 = ops.norm_c(vhat, 2)
-        if h2 > guard:
-            raise NumericalError(
-                f"blow-up guard tripped at t = {t:.6g}: "
-                f"H2 = {h2:.3e} exceeds 10x initial {guard0:.3e}")
-
-    return check
-
-
 def _run_diagonal(grid, v0_values, cfg: LimitConfig, symbol, nonlinear,
                   project=None) -> Trajectory:
     """March ``v_t = symbol*v + N(v)`` on the half spectrum from real samples
@@ -294,7 +276,9 @@ def _run_diagonal(grid, v0_values, cfg: LimitConfig, symbol, nonlinear,
         return Trajectory(grid, np.array(times), states, cfg_eff)
 
     stepper = DiagonalETDRK4(symbol, dt, nonlinear)
-    check = _snapshot_guard(HalfOps(grid), vhat)
+    ops = HalfOps(grid)
+    guard0 = ops.norm_c(vhat, 2)
+    guard = 10.0 * guard0 if guard0 > 1e-14 else 1.0
     snaps = max(1, int(cfg.snapshots))
     marks = sorted({round(nsteps * (i + 1) / snaps) for i in range(snaps)} - {0})
 
@@ -305,17 +289,23 @@ def _run_diagonal(grid, v0_values, cfg: LimitConfig, symbol, nonlinear,
             if project is not None:
                 vhat = project(vhat)
         done = mark
-        check(vhat, done * dt)
+        if not np.all(np.isfinite(vhat)):
+            raise NumericalError(f"non-finite spectrum at t = {done * dt:.6g}")
+        h2 = ops.norm_c(vhat, 2)
+        if h2 > guard:
+            raise NumericalError(
+                f"blow-up guard tripped at t = {done * dt:.6g}: "
+                f"H2 = {h2:.3e} exceeds 10x initial {guard0:.3e}")
         times.append(done * dt)
         states.append(irfft_c(vhat, grid))
     return Trajectory(grid, np.array(times), states, cfg_eff)
 
 
-def _quadratic_nonlinearity(ops: HalfOps, coeffs: LimitCoefficients):
-    def nonlinear(vhat, t):
-        return (-0.5 * coeffs.nonlinear) * ops.ik(0) * ops.prod_c(vhat, vhat)
-
-    return nonlinear
+def _advection_c(ops: HalfOps, coeff: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``-coeff * d1(a b)`` on half spectra: the quadratic term of a limit
+    model (coeff c_nl/2, a = b) and the bilinear one of its linearization
+    (coeff c_bl, a the background)."""
+    return (-coeff) * ops.ik(0) * ops.prod_c(a, b)
 
 
 def _run_limit(n0: RealField, cfg: LimitConfig, equation: str, project=None,
@@ -325,7 +315,8 @@ def _run_limit(n0: RealField, cfg: LimitConfig, equation: str, project=None,
     ops = HalfOps(n0.grid)
     coeffs = cfg.coefficients()
     if source is None:
-        nonlinear = _quadratic_nonlinearity(ops, coeffs)
+        def nonlinear(vhat, t):
+            return _advection_c(ops, 0.5 * coeffs.nonlinear, vhat, vhat)
     else:
         ztol = 1e-9 * max(1.0, ops.norm_c(rfft_c(source.background(0.0), n0.grid)))
         nonlinear = _linearized_nonlinearity(ops, coeffs, source, ztol)
@@ -360,7 +351,7 @@ def _linearized_nonlinearity(ops: HalfOps, coeffs: LimitCoefficients,
                              source: LinearizedSource, ztol_scale: float):
     def nonlinear(vhat, t):
         n1 = rfft_c(source.background(t), ops.grid)
-        out = (-coeffs.bilinear) * ops.ik(0) * ops.prod_c(n1, vhat)
+        out = _advection_c(ops, coeffs.bilinear, n1, vhat)
         if source.source is not None:
             g = rfft_c(source.source(t), ops.grid)
             if source.source_form == "differentiated":
@@ -424,7 +415,7 @@ def solve_coupled_order2(n10: RealField, n20: RealField, cfg: LimitConfig,
 
 
 # ---------------------------------------------------------------------------
-# discrete right-hand sides (shared with the profile constructions, so time
+# the linear symbol (shared with the profile constructions, so time
 # derivatives of profiles match the solvers' tendencies exactly)
 
 
@@ -441,28 +432,6 @@ def symbol_array(grid: Grid, coeffs: LimitCoefficients, equation: str) -> np.nda
             k1 == 0.0, 0.0, grid.wavenumber(1) ** 2 / safe))
     kperp2 = sum(grid.wavenumber(a) ** 2 for a in range(1, grid.ndim))
     return 1j * (coeffs.dispersion_x * k1 ** 3 + coeffs.transverse * k1 * kperp2)
-
-
-def evolution_rhs(values: np.ndarray, grid: Grid, coeffs: LimitCoefficients,
-                  equation: str) -> np.ndarray:
-    """Instantaneous tendency of the quadratic limit model, in samples."""
-    sym = half(symbol_array(grid, coeffs, equation), grid)
-    vhat = rfft_c(values, grid)
-    nonlin = _quadratic_nonlinearity(HalfOps(grid), coeffs)
-    return irfft_c(sym * vhat + nonlin(vhat, 0.0), grid)
-
-
-def linearized_rhs(values: np.ndarray, background: np.ndarray,
-                   source_evolution: np.ndarray | None, grid: Grid,
-                   coeffs: LimitCoefficients, equation: str) -> np.ndarray:
-    """Instantaneous tendency of the linearized model (evolution-form source)."""
-    sym = half(symbol_array(grid, coeffs, equation), grid)
-    source = LinearizedSource(
-        grid, background=lambda t: background, source_form="evolution",
-        source=None if source_evolution is None else (lambda t: source_evolution))
-    vhat = rfft_c(values, grid)
-    nonlin = _linearized_nonlinearity(HalfOps(grid), coeffs, source, 0.0)
-    return irfft_c(sym * vhat + nonlin(vhat, 0.0), grid)
 
 
 # ---------------------------------------------------------------------------

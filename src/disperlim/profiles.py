@@ -38,9 +38,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError
 from .grid import Grid, RealField, ScalingParams
-from .limit_equations import (LimitCoefficients, LinearizedSource,
-                               _kp_constraint_c, _quadratic_nonlinearity,
-                               symbol_array)
+from .limit_equations import (LimitCoefficients, LinearizedSource, _advection_c,
+                               _kp_constraint_c, symbol_array)
 from .poisson import solve_poisson_values
 from .spectral import HalfOps, half, irfft_c, rfft_c
 
@@ -171,13 +170,16 @@ class _Ops(HalfOps):
 
     def evolution_c(self, K: np.ndarray) -> np.ndarray:
         """Tendency of the quadratic limit model, with the solvers' own
-        nonlinearity."""
-        return self.sym * K + _quadratic_nonlinearity(self, self.coeffs)(K, 0.0)
+        nonlinear term."""
+        return self.sym * K + _advection_c(self, 0.5 * self.coeffs.nonlinear, K, K)
 
     def linearized_c(self, N: np.ndarray, K: np.ndarray, S: np.ndarray) -> np.ndarray:
         """Tendency of the linearized model about K with the evolution-form
-        source S, as ``linearized_rhs``."""
-        return self.sym * N - self.coeffs.bilinear * self.ik(0) * self.prod_c(K, N) + S
+        source S, with the solvers' own bilinear term."""
+        return self.sym * N + _advection_c(self, self.coeffs.bilinear, K, N) + S
+
+    def spec(self, values: np.ndarray) -> np.ndarray:
+        return rfft_c(values, self.grid)
 
     def d(self, values: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
         return irfft_c(self.d_c(self.spec(values), axis, order), self.grid)
@@ -223,14 +225,14 @@ _AUX = {2: ("u1_corr", "phi_corr", "u2_corr"),
 
 def _first_order_c(op: _Ops, K: np.ndarray) -> dict:
     """First-order fields and first-order-determined corrections of the
-    density spectrum K, plus its tendency ``dtn1`` and the density-free parts
-    ``<name>~`` of the transverse closures (see :func:`_closures_c`)."""
+    density spectrum K, plus its square ``kk``, its tendency ``dtn1`` and the
+    density-free parts ``<name>~`` of the transverse closures (see
+    :func:`_closures_c`)."""
     D, P, I = op.d_c, op.prod_c, op.inv_d1_c
     V = op.coeffs.V
     ti = V * V - 1.0
-    kk = P(K, K)
-    dtn1 = op.evolution_c(K)
-    s = {"n1": K, "u1_1": V * K, "phi1": K, "dtn1": dtn1}
+    s = {"n1": K, "u1_1": V * K, "phi1": K, "kk": P(K, K), "dtn1": op.evolution_c(K)}
+    kk, dtn1 = s["kk"], s["dtn1"]
     if op.grid.ndim == 2:
         s["u2_1"] = b1 = V * I(D(K, 1))
         s["phi_corr"] = D(K, 0, 2) - 0.5 * kk
@@ -449,8 +451,7 @@ def _closed_form_c(op: _Ops, s: dict) -> np.ndarray:
     D, P = op.d_c, op.prod_c
     V = op.coeffs.V
     ti = V * V - 1.0
-    k, U, phi = s["n1"], s["u1_corr"], s["phi_corr"]
-    kk = P(k, k)
+    k, kk, U, phi = s["n1"], s["kk"], s["u1_corr"], s["phi_corr"]
     w = (_dt_u1_corr(op, s) + 2.0 * V * D(P(k, U), 0)
          + ti * P(kk, D(k, 0))
          - D(P(kk, k), 0) / 6.0
@@ -634,8 +635,9 @@ def residual_order_systems(h: ProfileHierarchy, params: ScalingParams) -> Residu
         raise ConfigurationError(
             f"params wave speed {params.wave_speed} != hierarchy V {h.V}")
     op = _Ops(h.grid, h.coeffs, h.equation)
-    s = op.specs({name.removeprefix("aux:"): h.get(name)
-                  for name in h.live_field_names()})
+    names = h.live_field_names()
+    s = dict(zip([name.removeprefix("aux:") for name in names],
+                 op.spec(np.stack([h.get(name) for name in names]))))
     tol = 1e-8 * (1.0 + op.norm_c(s["n1"], 4))
     entries = {}
     for tag, c in _order_system_residuals(h, op, s).items():

@@ -107,9 +107,7 @@ class HalfOps:
     ``-|k|^2``, the antiderivative factor with its k1 = 0 plane, Parseval
     weights) acting elementwise on half spectra or stacks of them.  A
     dealiased product sends its factors back in one batched inverse transform
-    and comes forward in one.  Samples given to :meth:`specs`, their spectra
-    and their products are pinned for the set's life and memoised by identity
-    (never modify one in place); temporaries pass through unheld."""
+    and comes forward in one."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -123,8 +121,6 @@ class HalfOps:
         self._ik = {}
         ik1 = self.ik(0)
         self.inv_ik1 = np.where(ik1 == 0.0, 0.0, 1.0 / np.where(ik1 == 0.0, 1.0, ik1))
-        self._memo = {}    # ("spec"|"view"|"prod", ids of pinned arrays) -> value
-        self._pinned = {}  # id -> array
 
     def ik(self, axis: int, order: int = 1) -> np.ndarray:
         if (axis, order) not in self._ik:
@@ -156,41 +152,13 @@ class HalfOps:
                 offending_norm=offending)
         return c * self.inv_ik1
 
-    def _pin(self, array: np.ndarray) -> np.ndarray:
-        self._pinned[id(array)] = array
-        return array
-
-    def spec(self, values: np.ndarray) -> np.ndarray:
-        return self.specs({None: values})[None]
-
-    def specs(self, named: dict) -> dict:
-        """Half spectra of named samples; the new ones in one batch."""
-        new = [v for v in {id(v): v for v in named.values()}.values()
-               if ("spec", id(v)) not in self._memo]
-        if new:
-            for v, c in zip(new, rfft_c(np.stack(new), self.grid)):
-                self._memo["spec", id(self._pin(v))] = self._pin(c)
-        return {name: self._memo["spec", id(v)] for name, v in named.items()}
-
     def prod_c(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Dealiased product of two half spectra (the one product convention)."""
-        key = ("prod",) + tuple(sorted((id(a), id(b))))
-        if key in self._memo:
-            return self._memo[key]
-        out = np.zeros_like(a)
-        if a.any() and b.any():
-            views = {i: self._memo.get(("view", i)) for i in (id(a), id(b))}
-            new = {i: c for i, c in ((id(a), a), (id(b), b)) if views[i] is None}
-            if new:
-                fresh = irfft_c(self.mask * np.stack(list(new.values())), self.grid)
-                for i, v in zip(new, fresh):
-                    views[i] = v
-                    if i in self._pinned:
-                        self._memo["view", i] = v
-            out = self.mask * rfft_c(views[id(a)] * views[id(b)], self.grid)
-        if id(a) in self._pinned and id(b) in self._pinned:
-            self._memo[key] = self._pin(out)
-        return out
+        """Dealiased product of two half spectra (the one product convention):
+        the factors go back in one batched inverse transform."""
+        if not (a.any() and b.any()):
+            return np.zeros_like(a)
+        views = irfft_c(self.mask * np.stack([a] if a is b else [a, b]), self.grid)
+        return self.mask * rfft_c(views[0] * views[-1], self.grid)
 
 
 def l2_norm_c(coeffs: np.ndarray, grid: Grid) -> float:
