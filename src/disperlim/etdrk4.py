@@ -6,6 +6,9 @@ functions have removable singularities at the origin, so for small arguments
 phi_3 is summed from its Taylor series by a fixed-length Horner scheme and
 phi_2, phi_1 follow from the recurrence ``phi_k = 1/k! + z*phi_{k+1}``, which
 is free of cancellation there; larger arguments use the closed form.
+
+Every time-marching driver takes its step plan from :func:`plan` and steps
+between the snapshot marks with :func:`march`, which holds the blow-up guard.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import math
 
 import numpy as np
 
-__all__ = ["phi_functions", "etdrk4_tables", "DiagonalETDRK4"]
+from .errors import NumericalError
+
+__all__ = ["phi_functions", "etdrk4_tables", "DiagonalETDRK4", "plan", "march"]
 
 _SERIES_CUTOFF = 0.75
 # Taylor coefficients 1/(j+1)! of phi_1, highest power first; below the
@@ -101,3 +106,40 @@ class DiagonalETDRK4:
         n4 = self.nonlinear(c, t + self.dt)
         return (self.E * v + self.f1 * n1 + 2.0 * self.f2 * (n2 + n3)
                 + self.f3 * n4)
+
+
+def plan(T, dt, snapshots, logger):
+    """``(dt, marks)`` of a march to ``T``: dt rounded to ``T/ceil(T/dt)``
+    (a change is logged on ``logger`` as the event ``dt_rounded``), and the
+    step counts of ``snapshots`` evenly spaced snapshots, the last at T."""
+    nsteps = max(1, math.ceil(T / dt - 1e-9)) if T > 0 else 0
+    if nsteps and abs(T / nsteps - dt) > 1e-12 * dt:
+        logger.info("dt_rounded: requested dt %.17g, effective dt %.17g", dt,
+                    T / nsteps, extra={"event": "dt_rounded", "requested_dt": dt,
+                                       "effective_dt": T / nsteps})
+        dt = T / nsteps
+    snaps = max(1, int(snapshots))
+    marks = sorted({round(nsteps * (i + 1) / snaps) for i in range(snaps)} - {0})
+    return dt, marks
+
+
+def march(advance, state, marks, dt, h2, t0=0.0):
+    """Yield ``(time, state)`` at each step count in ``marks``, stepping with
+    ``advance(state, start, count)``.  The blow-up guard: a non-finite
+    ``h2(state)``, or one above ten times its initial value (above 1 when
+    that is zero), raises :class:`NumericalError` naming the time."""
+    size0 = h2(state)
+    limit = 10.0 * size0 if size0 > 1e-14 else 1.0
+    done = 0
+    for mark in marks:
+        state = advance(state, done, mark - done)
+        done = mark
+        time = t0 + done * dt
+        size = h2(state)
+        if not math.isfinite(size):
+            raise NumericalError(f"non-finite state at t = {time:.6g}")
+        if size > limit:
+            raise NumericalError(
+                f"blow-up guard tripped at t = {time:.6g}: "
+                f"H2 = {size:.3e} exceeds 10x initial {size0:.3e}")
+        yield time, state

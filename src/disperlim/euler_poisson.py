@@ -22,6 +22,7 @@ entry and rebuilds a Hermitian full stack once on exit.
 
 from __future__ import annotations
 
+import logging
 import math
 import weakref
 from dataclasses import dataclass, field, replace
@@ -29,11 +30,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .etdrk4 import DiagonalETDRK4
+from .etdrk4 import DiagonalETDRK4, march, plan
 from .grid import Grid, RealField, ScalingParams
 from .poisson import poisson_residual, solve_poisson_values
-from .spectral import (dealias_mask, deriv_factor, fft_c, half, ifft_c,
-                       irfft_c, rfft_c, sobolev_norm_c, weighted_ksq)
+from .spectral import (HalfOps, dealias_mask, deriv_factor, fft_c, half, ifft_c,
+                       irfft_c, rfft_c, weighted_ksq)
 
 __all__ = [
     "EPState",
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 _MIN_DENSITY = 0.1
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -232,12 +235,10 @@ class EPIntegrator:
     # -- state conversion ----------------------------------------------------
 
     def to_stack(self, state: EPState) -> np.ndarray:
-        return np.stack([fft_c(f.values, self.grid) for f in (state.n,) + state.u])
+        return fft_c(np.stack([f.values for f in (state.n,) + state.u]), self.grid)
 
     def from_stack(self, stack: np.ndarray, phi: np.ndarray, time: float) -> EPState:
-        n = RealField(self.grid, ifft_c(stack[0], self.grid))
-        u = tuple(RealField(self.grid, ifft_c(stack[1 + j], self.grid))
-                  for j in range(self.params.dim))
+        n, *u = (RealField(self.grid, v) for v in ifft_c(stack, self.grid))
         return EPState(n=n, u=u, phi=RealField(self.grid, phi), time=time,
                        params=self.params)
 
@@ -334,7 +335,7 @@ class EPIntegrator:
         phi, _ = solve_poisson_values(real[0], self.grid, self.params,
                                       tol=self.cfg.poisson_tol, warm_start=phi,
                                       max_newton=self.cfg.max_newton)
-        return np.stack([fft_c(f, self.grid) for f in real]), phi
+        return fft_c(real, self.grid), phi
 
     def step_stack(self, stack: np.ndarray, phi: np.ndarray):
         """One step with the potential re-established at the new time."""
@@ -391,82 +392,73 @@ def run_ep(initial: EPState, T: float, cfg: StepperConfig,
     """Integrate to rescaled time ``T``; returns (final state, diagnostics).
 
     Snapshots log mass, density minimum, potential-solve residual and the
-    Sobolev norms of the density perturbation.  A blow-up guard aborts when
+    Sobolev norms of the density perturbation.  The run marches with
+    :func:`~disperlim.etdrk4.march`, whose blow-up guard aborts when
     ``||n - 1||_{H^2}`` exceeds ten times its initial value.  If the spectral
     tail of the density ever exceeds ``tail_guard`` of its peak and no tail
     damping is configured, gentle fourth-order damping (one e-fold of the
     last octave per unit time) is switched on for the remainder of the run.
+
+    Events logged on ``disperlim.euler_poisson``: ``dt_rounded``
+    (``requested_dt``, ``effective_dt``) when dt is rounded to T/ceil(T/dt),
+    and ``tail_damping_enabled`` (``time``, ``tail_fraction``) when the
+    damping is switched on; that snapshot's record carries the same flag.
     """
     if T < 0:
         raise ConfigurationError(f"final time must be nonnegative, got {T}")
-    nsteps = max(1, math.ceil(T / cfg.dt - 1e-9))
-    dt = T / nsteps
-    if T > 0 and abs(dt - cfg.dt) > 1e-12 * cfg.dt:
+    dt, marks = plan(T, cfg.dt, snapshots, _log)
+    if dt != cfg.dt:
         cfg = replace(cfg, dt=dt)
     log = DiagnosticsLog()
     engine = EPIntegrator(initial.grid, initial.params, cfg)
-    stack = engine.to_stack(initial)
-    log.append(_snapshot_record(initial.time, stack, initial.phi.values,
-                                engine, norm_orders))
+    ops = HalfOps(initial.grid)
+    state = (engine.to_stack(initial), initial.phi.values)
+    log.append(_snapshot_record(initial.time, state, engine, ops, norm_orders))
     if T == 0:
         return initial, log
 
-    snapshots = max(1, int(snapshots))
-    marks = [round(nsteps * (i + 1) / snapshots) for i in range(snapshots)]
-    guard0 = sobolev_norm_c(_perturbation(stack[0]), initial.grid, 2)
-    guard_level = 10.0 * guard0 if guard0 > 1e-14 else 1.0
-
-    phi = initial.phi.values
-    done = 0
-    for mark in marks:
-        if mark <= done:
-            continue
-        stack, phi = engine.advance(stack, phi, mark - done)
-        done = mark
-        time = initial.time + done * dt
-        record = _snapshot_record(time, stack, phi, engine, norm_orders)
+    for time, state in march(lambda st, _start, count: engine.advance(*st, count),
+                             state, marks, dt, density_h2(ops), initial.time):
+        record = _snapshot_record(time, state, engine, ops, norm_orders)
         log.append(record)
-        h2 = record["norms"].get("H2")
-        if h2 is None:
-            h2 = sobolev_norm_c(_perturbation(stack[0]), initial.grid, 2)
-        if h2 > guard_level:
-            raise NumericalError(
-                f"blow-up guard tripped at t = {time:.6g}: "
-                f"||n-1||_H2 = {h2:.3e} exceeds 10x initial {guard0:.3e}")
-        if engine._filter is None and _tail_fraction(stack[0], engine.grid) > tail_guard:
-            engine.cfg = replace(cfg, hyperviscosity=(2.0 ** 4, 4))
-            engine._filter = engine._build_filter()
-            record["tail_damping_enabled"] = True
+        if engine._filter is None:
+            pert = density_perturbation(state[0], ops.grid)
+            peak = float(np.max(np.abs(pert)))
+            tail = float(np.max(np.abs(pert[~ops.mask]))) / peak if peak else 0.0
+            if tail > tail_guard:
+                engine.cfg = replace(cfg, hyperviscosity=(2.0 ** 4, 4))
+                engine._filter = engine._build_filter()
+                record["tail_damping_enabled"] = True
+                _log.info("tail_damping_enabled: at t = %.6g, tail fraction %.3e",
+                          time, tail, extra={"event": "tail_damping_enabled",
+                                             "time": time, "tail_fraction": tail})
 
-    final = engine.from_stack(stack, phi, initial.time + T)
+    final = engine.from_stack(*state, initial.time + T)
     return final, log
 
 
-def _perturbation(n_hat: np.ndarray) -> np.ndarray:
-    pert = n_hat.copy()
+def density_perturbation(stack: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectrum of ``n - 1`` from a full-layout stack."""
+    pert = half(stack[0], grid).copy()
     pert.flat[0] -= 1.0
     return pert
 
 
-def _tail_fraction(n_hat: np.ndarray, grid: Grid) -> float:
-    pert = _perturbation(n_hat)
-    peak = float(np.max(np.abs(pert)))
-    if peak == 0.0:
-        return 0.0
-    outside = ~dealias_mask(grid)
-    tail = float(np.max(np.abs(pert[outside]))) if outside.any() else 0.0
-    return tail / peak
+def density_h2(ops: HalfOps):
+    """The blow-up guard's size of a ``(stack, phi)`` march state:
+    ``||n - 1||_{H^2}``."""
+    return lambda state: ops.norm_c(density_perturbation(state[0], ops.grid), 2)
 
 
-def _snapshot_record(time, stack, phi, engine: EPIntegrator, norm_orders):
+def _snapshot_record(time, state, engine: EPIntegrator, ops: HalfOps, norm_orders):
     grid, params = engine.grid, engine.params
-    n = ifft_c(stack[0], grid)
-    pert = _perturbation(stack[0])
-    norms = {f"H{s}": sobolev_norm_c(pert, grid, s) for s in norm_orders}
+    stack, phi = state
+    pert = density_perturbation(stack, grid)
+    n = 1.0 + irfft_c(pert, grid)
     return {
         "time": float(time),
-        "mass": float((stack[0].flat[0].real - 1.0) * grid.volume),
+        "mass": float(pert.flat[0].real * grid.volume),
         "min_n": float(np.min(n)),
         "poisson_residual": poisson_residual(n, phi, grid, params),
-        "norms": norms,
+        "norms": {f"H{s}": ops.norm_c(pert, s) for s in norm_orders},
     }

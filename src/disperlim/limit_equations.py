@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ConstraintError, NumericalError
-from .etdrk4 import DiagonalETDRK4
+from .errors import ConfigurationError, ConstraintError
+from .etdrk4 import DiagonalETDRK4, march, plan
 from .grid import Grid, RealField
 from .spectral import HalfOps, deriv_factor, half, irfft_c, rfft_c
 
@@ -186,18 +186,23 @@ def kp2_linear_symbol(k, V: float) -> complex:
     streamwise-mean constraint), so the value never acts on live content.
     """
     coeffs = LimitCoefficients.for_equation("KP2", V)
-    k1, k2 = float(k[0]), float(k[1])
-    if k1 == 0.0:
-        return 0.0j
-    return 1j * (coeffs.dispersion_x * k1 ** 3 - coeffs.transverse * k2 ** 2 / k1)
+    return complex(_symbol(coeffs, "KP2", float(k[0]), float(k[1]) ** 2))
 
 
 def zk_linear_symbol(k, V: float, transverse: float = None) -> complex:
     """Evolution-form linear symbol of the 3D limit model at one wavenumber."""
     coeffs = LimitCoefficients.for_equation("ZK", V, transverse=transverse)
-    k1 = float(k[0])
-    kperp2 = float(k[1]) ** 2 + float(k[2]) ** 2
-    return 1j * (coeffs.dispersion_x * k1 ** 3 + coeffs.transverse * k1 * kperp2)
+    return complex(_symbol(coeffs, "ZK", float(k[0]), float(k[1]) ** 2 + float(k[2]) ** 2))
+
+
+def _symbol(coeffs: LimitCoefficients, equation: str, k1, kt2):
+    """Linear symbol from the streamwise wavenumber and the squared
+    transverse one; the 2D nonlocal branch is zero at ``k1 = 0``."""
+    if equation in ("KP2", "LinKP"):
+        safe = np.where(k1 == 0.0, 1.0, k1)
+        return 1j * (coeffs.dispersion_x * k1 ** 3
+                     - coeffs.transverse * np.where(k1 == 0.0, 0.0, kt2 / safe))
+    return 1j * (coeffs.dispersion_x * k1 ** 3 + coeffs.transverse * k1 * kt2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +217,10 @@ def _kp_live_mask(grid: Grid) -> np.ndarray:
     well-defined zero symbol), which keeps the streamwise-independent
     reduction consistent with the 1D dynamics.
     """
-    dead = np.broadcast_to(np.isclose(grid.wavenumber(0), 0.0), grid.shape).copy()
-    perp_zero = np.ones(grid.shape, dtype=bool)
-    for a in range(1, grid.ndim):
-        perp_zero &= np.broadcast_to(np.isclose(grid.wavenumber(a), 0.0), grid.shape)
-    dead &= ~perp_zero
-    return half(dead, grid)
+    dead = np.zeros(grid.shape[:-1] + (grid.dims[-1] // 2 + 1,), dtype=bool)
+    dead[0] = True    # the k1 = 0 plane
+    dead.flat[0] = False
+    return dead
 
 
 def _kp_projector(grid: Grid):
@@ -256,47 +259,30 @@ def _kp_constraint_c(c: np.ndarray, ops: HalfOps, ztol: float = None) -> float:
 def _run_diagonal(grid, v0_values, cfg: LimitConfig, symbol, nonlinear,
                   project=None) -> Trajectory:
     """March ``v_t = symbol*v + N(v)`` on the half spectrum from real samples
-    (one field, or a stack of fields along a leading axis); dt is rounded to
-    T/ceil(T/dt) so the march ends on T."""
-    nsteps = max(1, math.ceil(cfg.T / cfg.dt - 1e-9)) if cfg.T > 0 else 0
-    dt = cfg.T / nsteps if nsteps else cfg.dt
-    cfg_eff = cfg
-    if nsteps and abs(dt - cfg.dt) > 1e-12 * cfg.dt:
-        _log.info("dt_rounded: requested dt %.17g, effective dt %.17g", cfg.dt, dt,
-                  extra={"event": "dt_rounded", "requested_dt": cfg.dt,
-                         "effective_dt": dt})
-        cfg_eff = replace(cfg, dt=dt)
-
+    (one field, or a stack of fields along a leading axis) through the
+    shared step plan and march."""
+    dt, marks = plan(cfg.T, cfg.dt, cfg.snapshots, _log)
+    cfg_eff = cfg if dt == cfg.dt else replace(cfg, dt=dt)
     vhat = rfft_c(v0_values, grid)
     if project is not None:
         vhat = project(vhat)
     times = [0.0]
     states = [irfft_c(vhat, grid)]
-    if nsteps == 0:
+    if not marks:
         return Trajectory(grid, np.array(times), states, cfg_eff)
 
     stepper = DiagonalETDRK4(symbol, dt, nonlinear)
     ops = HalfOps(grid)
-    guard0 = ops.norm_c(vhat, 2)
-    guard = 10.0 * guard0 if guard0 > 1e-14 else 1.0
-    snaps = max(1, int(cfg.snapshots))
-    marks = sorted({round(nsteps * (i + 1) / snaps) for i in range(snaps)} - {0})
 
-    done = 0
-    for mark in marks:
-        for step in range(done, mark):
-            vhat = stepper.step(vhat, step * dt)
+    def advance(v, start, count):
+        for step in range(start, start + count):
+            v = stepper.step(v, step * dt)
             if project is not None:
-                vhat = project(vhat)
-        done = mark
-        if not np.all(np.isfinite(vhat)):
-            raise NumericalError(f"non-finite spectrum at t = {done * dt:.6g}")
-        h2 = ops.norm_c(vhat, 2)
-        if h2 > guard:
-            raise NumericalError(
-                f"blow-up guard tripped at t = {done * dt:.6g}: "
-                f"H2 = {h2:.3e} exceeds 10x initial {guard0:.3e}")
-        times.append(done * dt)
+                v = project(v)
+        return v
+
+    for time, vhat in march(advance, vhat, marks, dt, lambda v: ops.norm_c(v, 2)):
+        times.append(time)
         states.append(irfft_c(vhat, grid))
     return Trajectory(grid, np.array(times), states, cfg_eff)
 
@@ -425,13 +411,8 @@ def symbol_array(grid: Grid, coeffs: LimitCoefficients, equation: str) -> np.nda
     axes."""
     if equation not in _EQUATIONS:
         raise ConfigurationError(f"unknown equation {equation!r}")
-    k1 = deriv_factor(grid, 0, 1).imag
-    if equation in ("KP2", "LinKP"):
-        safe = np.where(k1 == 0.0, 1.0, k1)
-        return 1j * (coeffs.dispersion_x * k1 ** 3 - coeffs.transverse * np.where(
-            k1 == 0.0, 0.0, grid.wavenumber(1) ** 2 / safe))
-    kperp2 = sum(grid.wavenumber(a) ** 2 for a in range(1, grid.ndim))
-    return 1j * (coeffs.dispersion_x * k1 ** 3 + coeffs.transverse * k1 * kperp2)
+    kt2 = sum(grid.wavenumber(a) ** 2 for a in range(1, grid.ndim))
+    return _symbol(coeffs, equation, deriv_factor(grid, 0, 1).imag, kt2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
 """Transforms, spectral derivatives, weighted operators, dealiasing, norms.
 
-Two layers live here.  The public functions act on :class:`RealField` /
-:class:`SpectralField` and implement the operation contracts.  The ``*_c``
-helpers act on raw complex coefficient arrays (mean-normalized FFT layout)
-and are what the time steppers call in their inner loops.  ``rfft_c`` /
-``irfft_c`` use the half-spectrum layout of a real transform (last axis
-``0 .. n/2``), and :func:`half` cuts a full-layout table down to it.
+Two layouts of the mean-normalized coefficients live here.
+
+* The full layout (``fft_c`` / ``ifft_c``, every mode) serves the
+  field-level API on :class:`RealField` / :class:`SpectralField`
+  (transforms, derivatives, the anisotropic gradient and Laplacian,
+  dealiasing), the initial-data band limit and the Euler-Poisson engine's
+  stack contract.
+* The half spectrum of a real transform (``rfft_c`` / ``irfft_c``, last axis
+  ``0 .. n/2``; :func:`half` cuts a full-layout table down to it) serves
+  every inner loop: the engine, the potential solve, the limit models, the
+  profile layer through :class:`HalfOps`, and every norm.  ``l2_norm``,
+  ``sobolev_norm`` and ``triple_norm`` are one weighted sum over one real
+  transform (:meth:`HalfOps.norm_c`).
 """
 
 from __future__ import annotations
@@ -36,27 +43,29 @@ __all__ = [
 # raw-array layer
 
 
+def _axes(grid: Grid) -> tuple:
+    # the trailing grid axes, so a stack of fields transforms in one batch
+    return tuple(range(-grid.ndim, 0))
+
+
 def fft_c(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Forward transform of real samples, zero mode = mean."""
-    return _fft.fftn(values, axes=range(grid.ndim)) / grid.npoints
+    return _fft.fftn(values, axes=_axes(grid), norm="forward")
 
 
 def ifft_c(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Real samples from mean-normalized coefficients."""
-    return _fft.ifftn(coeffs * grid.npoints, axes=range(grid.ndim)).real
+    return _fft.ifftn(coeffs, axes=_axes(grid), norm="forward").real
 
 
 def rfft_c(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half-spectrum forward transform over the trailing grid axes (so a
-    stack of fields transforms in one batch), zero mode = mean."""
-    axes = tuple(range(-grid.ndim, 0))
-    return _fft.rfftn(values, s=grid.shape, axes=axes, norm="forward")
+    """Half-spectrum forward transform, zero mode = mean."""
+    return _fft.rfftn(values, s=grid.shape, axes=_axes(grid), norm="forward")
 
 
 def irfft_c(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
     """Real samples from mean-normalized half-spectrum coefficients."""
-    axes = tuple(range(-grid.ndim, 0))
-    return _fft.irfftn(coeffs, s=grid.shape, axes=axes, norm="forward")
+    return _fft.irfftn(coeffs, s=grid.shape, axes=_axes(grid), norm="forward")
 
 
 def half(table: np.ndarray, grid: Grid) -> np.ndarray:
@@ -77,15 +86,18 @@ def deriv_factor(grid: Grid, axis: int, order: int) -> np.ndarray:
     return factor
 
 
+def index_box(grid: Grid, limit) -> np.ndarray:
+    """Full-layout mask of the modes whose |signed index| along every axis of
+    n points is at most ``limit(n)``."""
+    box = np.ones(grid.shape, dtype=bool)
+    for a, (n, length) in enumerate(zip(grid.dims, grid.lengths)):
+        box &= np.rint(np.abs(grid.wavenumber(a)) * length / (2 * np.pi)) <= limit(n)
+    return box
+
+
 def dealias_mask(grid: Grid) -> np.ndarray:
     """Two-thirds-rule mask: keep modes with every |signed index| <= n/3."""
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis, n in enumerate(grid.dims):
-        idx = np.rint(np.fft.fftfreq(n) * n).astype(int)
-        shape = [1] * grid.ndim
-        shape[axis] = n
-        mask &= np.abs(idx.reshape(shape)) <= n / 3
-    return mask
+    return index_box(grid, lambda n: n / 3)
 
 
 def weighted_ksq(grid: Grid, params: ScalingParams) -> np.ndarray:
@@ -161,18 +173,32 @@ class HalfOps:
         return self.mask * rfft_c(views[0] * views[-1], self.grid)
 
 
-def l2_norm_c(coeffs: np.ndarray, grid: Grid) -> float:
-    return math.sqrt(grid.volume * float(np.sum(np.abs(coeffs) ** 2)))
+_TRIPLE_ROLES = ("density", "velocity", "potential")
 
 
-def sobolev_multiplier(grid: Grid, s: int) -> np.ndarray:
-    ksq = sum(grid.wavenumber(a) ** 2 for a in range(grid.ndim))
-    return (1.0 + ksq) ** s
+def _sobolev_index(s) -> int:
+    if s < 0 or int(s) != s:
+        raise ConfigurationError(f"Sobolev index must be a nonnegative integer, got {s}")
+    return int(s)
 
 
-def sobolev_norm_c(coeffs: np.ndarray, grid: Grid, s: int) -> float:
-    w = sobolev_multiplier(grid, s)
-    return math.sqrt(grid.volume * float(np.sum(w * np.abs(coeffs) ** 2)))
+def triple_root(ops: HalfOps, role: str, params: ScalingParams):
+    """Square root of the per-mode multiplier of a triple-norm role: 1 for
+    the density, ``1 + eps * sum_a w_a^2 |i k_a|^2`` for the velocity (w the
+    weights of :func:`weighted_gradient`, odd-order Nyquist zeroed), and that
+    plus ``eps^2 |k_w|^4`` for the potential."""
+    if role not in _TRIPLE_ROLES:
+        raise ConfigurationError(f"unknown triple-norm role {role!r}; "
+                                 f"expected one of {_TRIPLE_ROLES}")
+    if role == "density":
+        return 1.0
+    eps, grid = params.epsilon, ops.grid
+    kw2 = half(weighted_ksq(grid, params), grid)    # also checks the grid rank
+    m = 1.0 + eps * sum((eps if a and params.dim == 2 else 1.0) * np.abs(ops.ik(a)) ** 2
+                        for a in range(grid.ndim))
+    if role == "potential":
+        m = m + eps ** 2 * kw2 ** 2
+    return np.sqrt(m)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +258,7 @@ def dealias(F: SpectralField) -> SpectralField:
 
 def l2_norm(f: RealField) -> float:
     """Continuum L2 norm via Parseval."""
-    return l2_norm_c(fft_c(f.values, f.grid), f.grid)
+    return sobolev_norm(f, 0)
 
 
 def sobolev_norm(f: RealField, s: int) -> float:
@@ -240,12 +266,7 @@ def sobolev_norm(f: RealField, s: int) -> float:
 
     ``s = 0`` is the L2 norm of the continuum field.
     """
-    if s < 0 or int(s) != s:
-        raise ConfigurationError(f"Sobolev index must be a nonnegative integer, got {s}")
-    return sobolev_norm_c(fft_c(f.values, f.grid), f.grid, int(s))
-
-
-_TRIPLE_ROLES = ("density", "velocity", "potential")
+    return HalfOps(f.grid).norm_c(rfft_c(f.values, f.grid), _sobolev_index(s))
 
 
 def triple_norm(f: RealField, role: str, params: ScalingParams, s: int) -> float:
@@ -255,19 +276,12 @@ def triple_norm(f: RealField, role: str, params: ScalingParams, s: int) -> float
     velocity:  (||f||^2 + eps ||grad_w f||^2)^(1/2)
     potential: (||f||^2 + eps ||grad_w f||^2 + eps^2 ||lap_w f||^2)^(1/2)
 
-    with the anisotropic gradient/Laplacian of :func:`weighted_gradient`.
+    with the anisotropic gradient/Laplacian of :func:`weighted_gradient`,
+    taken as one multiplier per role (:func:`triple_root`).
     """
-    if role not in _TRIPLE_ROLES:
-        raise ConfigurationError(f"unknown triple-norm role {role!r}; "
-                                 f"expected one of {_TRIPLE_ROLES}")
-    total = sobolev_norm(f, s) ** 2
-    if role in ("velocity", "potential"):
-        grad = weighted_gradient(f, params)
-        total += params.epsilon * sum(sobolev_norm(g, s) ** 2 for g in grad)
-    if role == "potential":
-        lap = weighted_laplacian(f, params)
-        total += params.epsilon ** 2 * sobolev_norm(lap, s) ** 2
-    return math.sqrt(total)
+    ops = HalfOps(f.grid)
+    root = triple_root(ops, role, params)
+    return ops.norm_c(root * rfft_c(f.values, f.grid), _sobolev_index(s))
 
 
 def antiderivative_x1(f: RealField, ztol: float = None) -> RealField:

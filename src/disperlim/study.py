@@ -10,20 +10,27 @@ For a truncation-order-1 hierarchy the measured quantity is the first-order
 defect, which the limit theory predicts to stay O(1) uniformly in eps; the
 first-order approximation error ||n - 1 - eps*n1||_{H^s'} then scales as
 eps^2.  A study sweeps eps, co-advances the (eps-independent) profiles with
-the full system on a shared time grid, and fits the observed order.
+the full system on one step plan (:func:`~disperlim.etdrk4.plan`, marched
+with its blow-up guard), and fits the observed order.  Every norm is a
+weighted sum on the half spectrum: a report takes its tail fractions, H^s and
+triple norms from one batched transform of the remainder, and the first-order
+error is the engine's density spectrum less the profile spectra.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .euler_poisson import EPIntegrator, StepperConfig
+from .etdrk4 import march, plan
+from .euler_poisson import (EPIntegrator, StepperConfig, density_h2,
+                            density_perturbation)
 from .fldio import write_json
 from .grid import Grid, RealField, ScalingParams, build_grid
 from .initial_data import build_family
@@ -34,7 +41,7 @@ from .profiles import (ProfileHierarchy, assemble_initial_data,
                        first_order_profiles_kp, first_order_profiles_zk,
                        second_order_profiles_kp, second_order_profiles_zk,
                        tilde_aggregates)
-from .spectral import fft_c, sobolev_multiplier, sobolev_norm_c, triple_norm
+from .spectral import HalfOps, half, index_box, rfft_c, triple_root
 
 __all__ = [
     "StudyConfig",
@@ -45,6 +52,8 @@ __all__ = [
     "run_convergence_study",
     "fit_order",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -134,7 +143,7 @@ class StudyConfig:
             raise ConfigurationError(
                 f"unsupported schema_version {obj.get('schema_version')!r}")
         grid = obj.get("grid", {})
-        return cls(
+        cfg = cls(
             d=int(obj["d"]),
             ion_temperature=float(obj["ion_temperature"]),
             epsilons=tuple(obj["epsilons"]),
@@ -150,6 +159,13 @@ class StudyConfig:
             c_cfl=float(obj.get("c_cfl", 0.5)),
             seed=int(obj.get("seed", 0)),
         )
+        # every key is one that as_jsonable writes, or it is rejected
+        known = cfg.as_jsonable()
+        unknown = sorted([k for k in obj if k not in known]
+                         + [f"grid.{k}" for k in grid if k not in known["grid"]])
+        if unknown:
+            raise ConfigurationError(f"unknown study config keys: {', '.join(unknown)}")
+        return cfg
 
 
 @dataclass(frozen=True)
@@ -221,45 +237,30 @@ def remainder_norm_report(r: RemainderState, cfg: StudyConfig,
                                      ion_temperature=cfg.ion_temperature,
                                      dim=cfg.d)
     s = cfg.s_prime
+    grid = r.n_R.grid
+    ops = HalfOps(grid)
+    names = ("n", "phi") + tuple(f"u{j+1}" for j in range(len(r.u_R)))
+    spec = rfft_c(np.stack([r.n_R.values, r.phi_R.values]
+                           + [c.values for c in r.u_R]), grid)
+    sobolev = ops.weights * (1.0 - ops.neg_ksq) ** s
+    top = half(~index_box(grid, lambda n: n // 4 - 1), grid)  # any |index| >= n/4
     warnings = []
-    for name, fieldv in (("n", r.n_R), ("phi", r.phi_R)) + tuple(
-            (f"u{j+1}", r.u_R[j]) for j in range(len(r.u_R))):
-        tail = _spectral_tail_fraction(fieldv, s)
+    for name, c in zip(names, spec):
+        w = sobolev * np.abs(c) ** 2
+        total = float(np.sum(w))
+        tail = math.sqrt(float(np.sum(w[top])) / total) if total else 0.0
         if tail > 1e-6:
             warnings.append(
                 f"{name}: top-octave share {tail:.2e} of the H^{s} norm; "
                 "remainder may be under-resolved")
+    n_hat, phi_hat, u_hat = spec[0], spec[1], spec[2:]
     if cfg.norm_kind == "triple":
-        value_n = triple_norm(r.n_R, "density", params, s)
-        value_u = math.sqrt(sum(triple_norm(c, "velocity", params, s) ** 2
-                                for c in r.u_R))
-        value_phi = triple_norm(r.phi_R, "potential", params, s)
-    else:
-        value_n = sobolev_norm_c(fft_c(r.n_R.values, r.n_R.grid), r.n_R.grid, s)
-        value_u = math.sqrt(sum(
-            sobolev_norm_c(fft_c(c.values, c.grid), c.grid, s) ** 2
-            for c in r.u_R))
-        value_phi = sobolev_norm_c(fft_c(r.phi_R.values, r.phi_R.grid),
-                                   r.phi_R.grid, s)
+        phi_hat = triple_root(ops, "potential", params) * phi_hat
+        u_hat = triple_root(ops, "velocity", params) * u_hat
+    value_n, value_u, value_phi = (ops.norm_c(c, s) for c in (n_hat, u_hat, phi_hat))
     combined = math.sqrt(value_n ** 2 + value_u ** 2 + value_phi ** 2)
     return {"norm_kind": cfg.norm_kind, "n": value_n, "u": value_u,
             "phi": value_phi, "combined": combined, "warnings": warnings}
-
-
-def _spectral_tail_fraction(f: RealField, s: int) -> float:
-    grid = f.grid
-    c = fft_c(f.values, grid)
-    w = sobolev_multiplier(grid, s) * np.abs(c) ** 2
-    top = np.zeros(grid.shape, dtype=bool)
-    for axis, n in enumerate(grid.dims):
-        idx = np.abs(np.rint(np.fft.fftfreq(n) * n).astype(int))
-        shape = [1] * grid.ndim
-        shape[axis] = n
-        top |= np.broadcast_to(idx.reshape(shape) >= n // 4, grid.shape)
-    total = float(np.sum(w))
-    if total == 0.0:
-        return 0.0
-    return math.sqrt(float(np.sum(w[top])) / total)
 
 
 def fit_order(points) -> dict:
@@ -290,105 +291,70 @@ def _profile_trajectories(cfg: StudyConfig, grid: Grid):
     """Epsilon-independent profile trajectories at the sample times."""
     V = cfg.wave_speed
     n10 = build_family(V=V, grid=grid, seed=cfg.seed, **dict(cfg.family))
-    lim = LimitConfig(V=V, dt=cfg.dt, T=cfg.tau0,
-                      equation="KP2" if cfg.d == 2 else "ZK",
+    equation = "KP2" if cfg.d == 2 else "ZK"
+    lim = LimitConfig(V=V, dt=cfg.dt, T=cfg.tau0, equation=equation,
                       snapshots=cfg.samples)
     if cfg.truncation_order == 1:
-        if cfg.d == 2:
-            traj1 = solve_kp2(n10, lim)
-        else:
-            traj1 = solve_zk(n10, lim)
-        return traj1, None
+        return (solve_kp2 if cfg.d == 2 else solve_zk)(n10, lim), None
     coeffs = lim.coefficients()
-    equation = "KP2" if cfg.d == 2 else "ZK"
 
     def source_fn(n1_values):
         return assemble_lin_source_closed_form(RealField(grid, n1_values),
                                                coeffs, equation)
 
-    n20 = RealField.zeros(grid)
-    return solve_coupled_order2(n10, n20, lim, source_fn)
+    return solve_coupled_order2(n10, RealField.zeros(grid), lim, source_fn)
 
 
 def _hierarchy_at(cfg: StudyConfig, traj1: Trajectory, traj2, i: int) -> ProfileHierarchy:
-    V = cfg.wave_speed
     t = float(traj1.times[i])
-    n1 = traj1.field(i)
     if cfg.truncation_order == 1:
-        if cfg.d == 2:
-            return first_order_profiles_kp(n1, V, time=t)
-        return first_order_profiles_zk(n1, V, time=t)
-    n2 = traj2.field(i)
-    if cfg.d == 2:
-        return second_order_profiles_kp(n1, n2, V, time=t)
-    return second_order_profiles_zk(n1, n2, V, time=t)
+        build = first_order_profiles_kp if cfg.d == 2 else first_order_profiles_zk
+        return build(traj1.field(i), cfg.wave_speed, time=t)
+    build = second_order_profiles_kp if cfg.d == 2 else second_order_profiles_zk
+    return build(traj1.field(i), traj2.field(i), cfg.wave_speed, time=t)
 
 
 def _run_single_epsilon(cfg: StudyConfig, grid: Grid, eps: float,
-                        hierarchies: list) -> dict:
+                        hierarchies: list, marks: list, n1_hats: np.ndarray) -> dict:
     params = ScalingParams(epsilon=eps, ion_temperature=cfg.ion_temperature,
                            dim=cfg.d)
     stepper = StepperConfig(dt=cfg.dt, poisson_tol=cfg.poisson_tol,
                             c_cfl=cfg.c_cfl)
-    state, prep = assemble_initial_data(hierarchies[0], params,
-                                        poisson_tol=cfg.poisson_tol,
-                                        return_info=True)
+    initial, prep = assemble_initial_data(hierarchies[0], params,
+                                          poisson_tol=cfg.poisson_tol,
+                                          return_info=True)
     engine = EPIntegrator(grid, params, stepper)
-    stack = engine.to_stack(state)
-    phi = state.phi.values
+    ops = HalfOps(grid)
 
-    times = [float(h.time) for h in hierarchies]
-    nsteps_per = _steps_per_sample(times, cfg.dt)
-
-    s = cfg.s_prime
-    rows = []
-    diagnostics = []
-    sup_combined = 0.0
-    for i, h in enumerate(hierarchies):
-        if i > 0:
-            stack, phi = engine.advance(stack, phi, nsteps_per[i - 1])
-        full = engine.from_stack(stack, phi, times[i])
-        rem = compute_remainder(full, h, params)
-        report = remainder_norm_report(rem, cfg, params)
-        err1 = _first_order_error(full, h, s)
-        rows.append({
-            "epsilon": eps, "time": times[i], "norm_kind": report["norm_kind"],
-            "n": report["n"], "u": report["u"], "phi": report["phi"],
-            "err1": err1,
-        })
-        sup_combined = max(sup_combined, report["combined"])
-        diagnostics.append({
-            "time": times[i],
+    def measure(h, n1_hat, time, state):
+        full = engine.from_stack(*state, time)
+        report = remainder_norm_report(compute_remainder(full, h, params), cfg, params)
+        # error of the plain first-order approximation n ~ 1 + eps*n1
+        err1 = ops.norm_c(density_perturbation(state[0], grid) - eps * n1_hat, cfg.s_prime)
+        row = {"epsilon": eps, "time": float(h.time), "norm_kind": report["norm_kind"],
+               "n": report["n"], "u": report["u"], "phi": report["phi"], "err1": err1}
+        diagnostic = {
+            "time": float(h.time),
             "mass": float(np.mean(full.n.values - 1.0)) * grid.volume,
             "min_n": float(np.min(full.n.values)),
             "poisson_residual": full.poisson_defect(),
             "remainder": {k: report[k] for k in ("n", "u", "phi", "combined")},
             "warnings": report["warnings"],
-        })
-    return {"epsilon": eps, "rows": rows, "sup_combined": sup_combined,
-            "err1_final": rows[-1]["err1"],
+        }
+        return row, diagnostic, report["combined"]
+
+    # the loop rebinds state: only the march holds the sample it steps from
+    state = (engine.to_stack(initial), initial.phi.values)
+    steps = march(lambda st, _start, count: engine.advance(*st, count), state, marks,
+                  cfg.dt, density_h2(ops), initial.time)
+    samples = [measure(hierarchies[0], n1_hats[0], initial.time, state)]
+    for h, n1_hat, (time, state) in zip(hierarchies[1:], n1_hats[1:], steps):
+        samples.append(measure(h, n1_hat, time, state))
+    rows, diagnostics, combined = map(list, zip(*samples))
+    return {"epsilon": eps, "rows": rows, "sup_combined": max(combined),
             "err1_sup": max(r["err1"] for r in rows[1:]) if len(rows) > 1
             else rows[0]["err1"],
             "prepared": prep, "diagnostics": diagnostics}
-
-
-def _steps_per_sample(times, dt) -> list:
-    out = []
-    for a, b in zip(times, times[1:]):
-        n = max(1, round((b - a) / dt))
-        if abs(n * dt - (b - a)) > 1e-9 * max(1.0, abs(b)):
-            raise ConfigurationError(
-                "sample times are not aligned with the time step")
-        out.append(n)
-    return out
-
-
-def _first_order_error(full, h: ProfileHierarchy, s: int) -> float:
-    eps_n1 = h.fields["n1"]
-    grid = full.grid
-    # error of the plain first-order approximation n ~ 1 + eps*n1
-    return sobolev_norm_c(
-        fft_c(full.n.values - 1.0 - full.params.epsilon * eps_n1, grid), grid, s)
 
 
 def run_convergence_study(cfg: StudyConfig, threads: int = 1,
@@ -400,19 +366,17 @@ def run_convergence_study(cfg: StudyConfig, threads: int = 1,
     same time grid as the full solver; results are order-preserving over the
     sweep and bit-reproducible for a fixed config and platform.
     """
-    from dataclasses import replace as _replace
-
-    nsteps_total = max(1, math.ceil(cfg.tau0 / cfg.dt - 1e-9))
-    dt_eff = cfg.tau0 / nsteps_total
-    if abs(dt_eff - cfg.dt) > 1e-12 * cfg.dt:
-        cfg = _replace(cfg, dt=dt_eff)
+    dt, marks = plan(cfg.tau0, cfg.dt, cfg.samples, _log)
+    if dt != cfg.dt:
+        cfg = replace(cfg, dt=dt)
     grid = cfg.build_grid()
     traj1, traj2 = _profile_trajectories(cfg, grid)
     hierarchies = [_hierarchy_at(cfg, traj1, traj2, i)
                    for i in range(len(traj1.times))]
+    n1_hats = rfft_c(np.stack([h.fields["n1"] for h in hierarchies]), grid)
 
     def work(eps):
-        return _run_single_epsilon(cfg, grid, eps, hierarchies)
+        return _run_single_epsilon(cfg, grid, eps, hierarchies, marks, n1_hats)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

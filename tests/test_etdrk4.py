@@ -1,9 +1,12 @@
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from disperlim.etdrk4 import DiagonalETDRK4, etdrk4_tables, phi_functions
+from disperlim.errors import NumericalError
+from disperlim.etdrk4 import (DiagonalETDRK4, etdrk4_tables, march, phi_functions,
+                              plan)
 
 
 def _phi_reference(z, terms=60):
@@ -101,3 +104,40 @@ def test_fourth_order_convergence_scalar_ode():
         errs.append(abs(u[0] - reference[0]))
     order = np.log2(errs[0] / errs[1])
     assert order > 3.5
+
+
+class TestPlanAndMarch:
+    log = logging.getLogger("disperlim.test_plan")
+
+    def test_plan_rounds_dt_and_logs_it(self, caplog):
+        with caplog.at_level(logging.INFO, logger=self.log.name):
+            dt, marks = plan(0.05, 3e-3, 3, self.log)
+        assert dt == pytest.approx(0.05 / 17, rel=1e-14)
+        assert marks == [6, 11, 17]
+        (event,) = [r for r in caplog.records if getattr(r, "event", None) == "dt_rounded"]
+        assert (event.requested_dt, event.effective_dt) == (3e-3, dt)
+
+    def test_plan_keeps_a_dividing_dt_silently(self, caplog):
+        with caplog.at_level(logging.INFO, logger=self.log.name):
+            assert plan(0.01, 2.5e-3, 10, self.log) == (2.5e-3, [1, 2, 3, 4])
+            assert plan(0.0, 1e-3, 5, self.log) == (1e-3, [])
+        assert not caplog.records
+
+    def test_march_yields_each_mark(self):
+        def advance(x, start, count):
+            steps.append((start, count))
+            return x * 1.01 ** count
+
+        steps = []
+        out = list(march(advance, 1.0, [2, 5], 0.1, abs, t0=1.0))
+        assert steps == [(0, 2), (2, 3)]
+        assert [t for t, _ in out] == [pytest.approx(1.2), pytest.approx(1.5)]
+        assert out[-1][1] == pytest.approx(1.01 ** 5)
+
+    @pytest.mark.parametrize("x0,step,match", [
+        (1.0, lambda x: 11.0 * x, "blow-up guard tripped at t = 0.2"),
+        (0.0, lambda x: x + 1.5, "blow-up guard tripped at t = 0.2"),  # floor 1
+        (1.0, lambda x: x * np.nan, "non-finite state at t = 0.2")])
+    def test_march_guard_names_the_time(self, x0, step, match):
+        with pytest.raises(NumericalError, match=match):
+            list(march(lambda x, _start, _count: step(x), x0, [2, 4], 0.1, abs))

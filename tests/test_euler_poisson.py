@@ -1,3 +1,4 @@
+import logging
 import weakref
 
 import numpy as np
@@ -242,3 +243,29 @@ class TestRun:
         with pytest.raises(NumericalError):
             run_ep(state, 5.0, StepperConfig(dt=0.4 * 0.05 * min(grid2d.spacings)),
                    snapshots=200)
+
+    def test_dt_rounding_is_logged(self, grid2d, caplog):
+        p = ScalingParams(epsilon=0.1, ion_temperature=1.0, dim=2)
+        with caplog.at_level(logging.INFO, logger="disperlim.euler_poisson"):
+            run_ep(_rest_state(grid2d, p), 0.05, StepperConfig(dt=3e-3), snapshots=1)
+        (event,) = [r for r in caplog.records if getattr(r, "event", None) == "dt_rounded"]
+        assert event.requested_dt == 3e-3
+        assert event.effective_dt == pytest.approx(0.05 / 17, rel=1e-14)
+
+    def test_tail_damping_switch_is_logged(self, caplog):
+        # content above the two-thirds cutoff puts the tail at once above
+        # the guard, so damping switches on at the first snapshot
+        g = dl.build_grid([16, 16], [2 * np.pi] * 2)
+        p = ScalingParams(epsilon=0.1, ion_temperature=1.0, dim=2)
+        x, _ = g.meshgrid()
+        n = RealField(g, 1.0 + 0.01 * np.cos(x) + 1e-4 * np.cos(7 * x))
+        zero = RealField.zeros(g)
+        state = EPState(n=n, u=(zero, zero), phi=solve_poisson(n, p), time=0.0, params=p)
+        with caplog.at_level(logging.INFO, logger="disperlim.euler_poisson"):
+            _, log = run_ep(state, 0.02, StepperConfig(dt=2e-3), snapshots=2)
+        (event,) = [r for r in caplog.records
+                    if getattr(r, "event", None) == "tail_damping_enabled"]
+        assert event.time == log.records[1]["time"]
+        assert 1e-8 < event.tail_fraction < 0.1
+        assert log.records[1]["tail_damping_enabled"] is True
+        assert "tail_damping_enabled" not in log.records[2]

@@ -200,3 +200,138 @@ def test_profile_tendencies_match_a_full_layout_reference(grid, seed):
     K, N, S = (op.spec(x) for x in (n1, n2, g))
     assert _close(irfft_c(op.evolution_c(K), grid), evolution)
     assert _close(irfft_c(op.linearized_c(N, K, S), grid), linearized)
+
+
+# -- the norms against a full-layout numpy.fft reference
+
+
+def _white_tailed(rng, grid, tail):
+    """Random field below the top octave plus ``tail`` times white noise."""
+    low = np.ones(grid.shape, dtype=bool)
+    for a, n in enumerate(grid.dims):
+        idx = np.abs(np.rint(np.fft.fftfreq(n) * n))
+        low &= (idx < n // 4).reshape([-1 if a == b else 1 for b in range(grid.ndim)])
+    smooth = np.fft.ifftn(low * np.fft.fftn(rng.standard_normal(grid.shape))).real
+    return smooth + tail * rng.standard_normal(grid.shape)
+
+
+def _hs_reference(x, grid, s):
+    k, _, _ = _reference(grid)
+    c = np.fft.fftn(x) / grid.npoints
+    w = (1 + sum(ka ** 2 for ka in k)) ** s * np.abs(c) ** 2
+    return np.sqrt(grid.volume * np.sum(w)), w
+
+
+def _triple_reference(x, role, grid, eps, s):
+    """The triple norm as the sum of H^s norms of the field, its anisotropic
+    gradient and its anisotropic Laplacian, each taken in real space."""
+    k, _, ik = _reference(grid)
+    wts = [1.0] + [np.sqrt(eps) if grid.ndim == 2 else 1.0] * (grid.ndim - 1)
+    c = np.fft.fftn(x)
+    total = _hs_reference(x, grid, s)[0] ** 2
+    if role != "density":
+        for a in range(grid.ndim):
+            g = wts[a] * np.fft.ifftn(ik(a, 1) * c).real
+            total += eps * _hs_reference(g, grid, s)[0] ** 2
+    if role == "potential":
+        kw2 = sum(w * w * ka ** 2 for w, ka in zip(wts, k))
+        total += eps ** 2 * _hs_reference(np.fft.ifftn(-kw2 * c).real, grid, s)[0] ** 2
+    return np.sqrt(total)
+
+
+def _tail_reference(w, grid):
+    top = np.zeros(grid.shape, dtype=bool)
+    for a, n in enumerate(grid.dims):
+        idx = np.abs(np.rint(np.fft.fftfreq(n) * n))
+        top |= (idx >= n // 4).reshape([-1 if a == b else 1 for b in range(grid.ndim)])
+    total = np.sum(w)
+    return np.sqrt(np.sum(w[top]) / total) if total else 0.0
+
+
+tails = st.sampled_from([0.0, 1e-5, 1.0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=grids(), seed=seeds, eps=st.floats(0.02, 0.5), s=st.sampled_from([0, 2, 4]))
+def test_sobolev_and_triple_norms_match_a_full_layout_reference(grid, seed, eps, s):
+    from disperlim.spectral import sobolev_norm, triple_norm
+
+    x = _white_tailed(np.random.default_rng(seed), grid, 1.0)
+    f = RealField(grid, x)
+    ref = _hs_reference(x, grid, s)[0]
+    assert abs(sobolev_norm(f, s) - ref) <= 1e-12 * ref
+    p = ScalingParams(epsilon=eps, ion_temperature=1.0, dim=grid.ndim)
+    for role in ("density", "velocity", "potential"):
+        ref = _triple_reference(x, role, grid, eps, s)
+        assert abs(triple_norm(f, role, p, s) - ref) <= 1e-12 * ref
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=grids(), seed=seeds, eps=st.floats(0.02, 0.5),
+       pressureless=st.booleans(), s_prime=st.sampled_from([4, 5]),
+       tail=st.tuples(tails, tails, tails))
+def test_remainder_report_matches_a_full_layout_reference(grid, seed, eps, pressureless,
+                                                          s_prime, tail):
+    from disperlim.study import RemainderState, StudyConfig, remainder_norm_report
+
+    d = grid.ndim
+    ti = 0.0 if pressureless and d == 3 else 1.0
+    cfg = StudyConfig(d=d, ion_temperature=ti, epsilons=(0.2, 0.1, 0.05), tau0=0.1,
+                      s_prime=s_prime, grid_dims=grid.dims, grid_lengths=grid.lengths)
+    p = ScalingParams(epsilon=eps, ion_temperature=ti, dim=d)
+    rng = np.random.default_rng(seed)
+    n, phi = (_white_tailed(rng, grid, t) for t in tail[:2])
+    u = [_white_tailed(rng, grid, tail[2]) for _ in range(d)]
+    r = RemainderState(n_R=RealField(grid, n), u_R=tuple(RealField(grid, c) for c in u),
+                       phi_R=RealField(grid, phi), epsilon=eps, time=0.0)
+    rep = remainder_norm_report(r, cfg, p)
+
+    warnings = []
+    for name, x in [("n", n), ("phi", phi)] + [(f"u{j + 1}", c) for j, c in enumerate(u)]:
+        share = _tail_reference(_hs_reference(x, grid, s_prime)[1], grid)
+        if share > 1e-6:
+            warnings.append(f"{name}: top-octave share {share:.2e} of the H^{s_prime} "
+                            "norm; remainder may be under-resolved")
+    if ti == 0.0:
+        ref = {"n": _triple_reference(n, "density", grid, eps, s_prime),
+               "u": np.sqrt(sum(_triple_reference(c, "velocity", grid, eps, s_prime) ** 2
+                                for c in u)),
+               "phi": _triple_reference(phi, "potential", grid, eps, s_prime)}
+    else:
+        ref = {"n": _hs_reference(n, grid, s_prime)[0],
+               "u": np.sqrt(sum(_hs_reference(c, grid, s_prime)[0] ** 2 for c in u)),
+               "phi": _hs_reference(phi, grid, s_prime)[0]}
+    assert rep["norm_kind"] == ("triple" if ti == 0.0 else f"H{s_prime}")
+    for key, value in ref.items():
+        assert abs(rep[key] - value) <= 1e-12 * value
+    assert rep["warnings"] == warnings
+
+
+def test_a_triple_report_spends_one_batched_real_transform(monkeypatch):
+    import types
+
+    import scipy.fft
+
+    from disperlim import spectral
+    from disperlim.study import RemainderState, StudyConfig, remainder_norm_report
+
+    calls = []
+
+    def wrap(name):
+        def counted(x, *args, **kwargs):
+            calls.append((name, np.shape(x)))
+            return getattr(scipy.fft, name)(x, *args, **kwargs)
+        return counted
+
+    names = ("fftn", "ifftn", "rfftn", "irfftn")
+    monkeypatch.setattr(spectral, "_fft", types.SimpleNamespace(
+        **{name: wrap(name) for name in names}))
+    g = dl.build_grid([16, 16, 16], [20.0] * 3)
+    x = np.random.default_rng(3).standard_normal((5,) + g.shape)
+    fields = [RealField(g, v) for v in x]
+    cfg = StudyConfig(d=3, ion_temperature=0.0, epsilons=(0.2, 0.1, 0.05), tau0=0.1,
+                      grid_dims=g.dims, grid_lengths=g.lengths)
+    r = RemainderState(n_R=fields[0], u_R=tuple(fields[2:]), phi_R=fields[1],
+                       epsilon=0.1, time=0.0)
+    assert remainder_norm_report(r, cfg)["norm_kind"] == "triple"
+    assert calls == [("rfftn", (5, 16, 16, 16))]

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,14 @@ class TestStudyConfig:
         back = StudyConfig.from_jsonable(cfg.as_jsonable())
         assert back == cfg
 
+    def test_unknown_keys_rejected(self):
+        obj = StudyConfig(d=2, ion_temperature=1.0, epsilons=(0.2, 0.1, 0.05),
+                          tau0=0.5).as_jsonable()
+        obj["sampels"] = 5
+        obj["grid"]["lenghts"] = [40.0, 40.0]
+        with pytest.raises(ConfigurationError, match="grid.lenghts, sampels"):
+            StudyConfig.from_jsonable(obj)
+
     def test_schema_version_guard(self):
         obj = StudyConfig(d=2, ion_temperature=1.0, epsilons=(0.2, 0.1, 0.05),
                           tau0=0.5).as_jsonable()
@@ -204,3 +214,16 @@ class TestMiniStudy:
         table = run_convergence_study(cfg)
         assert table.fit["order"] is None
         assert "undefined" in table.fit
+
+    def test_dt_rounding_is_logged(self, caplog):
+        cfg = StudyConfig(
+            d=2, ion_temperature=1.0, epsilons=(0.2, 0.141, 0.1), tau0=0.01,
+            grid_dims=(32, 32), grid_lengths=(40.0, 40.0), dt=3e-3, samples=2,
+            family={"name": "gaussian_zero_mean", "amplitude": 0.3, "width": 3.0})
+        with caplog.at_level(logging.INFO, logger="disperlim"):
+            table = run_convergence_study(cfg)
+        events = [(r.name, r.requested_dt, r.effective_dt) for r in caplog.records
+                  if getattr(r, "event", None) == "dt_rounded"]
+        assert events == [("disperlim.study", 3e-3, pytest.approx(0.0025, rel=1e-14))]
+        assert table.config["dt"] == events[0][2]
+        assert [r["time"] for r in table.rows[:3]] == [0.0, 0.005, 0.01]
