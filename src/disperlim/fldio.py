@@ -1,4 +1,4 @@
-"""Field and trajectory serialization.
+"""The JSON config reader :func:`from_section`; field and trajectory files.
 
 FLD1 layout: one UTF-8 JSON header line ``{"format": "FLD1", "dims": [...],
 "lengths": [...], "name": "..."}`` terminated by a newline, followed by the
@@ -8,6 +8,7 @@ payload length against the declared dims.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 from dataclasses import asdict
@@ -17,9 +18,60 @@ import numpy as np
 from .errors import ConfigurationError
 from .grid import Grid, RealField, build_grid
 
-__all__ = ["write_fld", "read_fld", "write_json", "read_json"]
+__all__ = ["from_section", "write_fld", "read_fld", "write_json", "read_json"]
 
 _FORMAT = "FLD1"
+_JSON = {"str": str, "dict": dict, "tuple": (list, tuple)}  # the types JSON gives
+
+
+def _convert(annotation, value):
+    """``value`` as the annotation int, float, str, dict or tuple[int|float, ...] asks."""
+    kind, _, item = str(annotation).partition("[")
+    if kind == "int" and (isinstance(value, bool) or int(value) != value):
+        raise ValueError(f"{value!r} is not an integer")
+    if kind in ("int", "float"):
+        return int(value) if kind == "int" else float(value)
+    if not isinstance(value, _JSON.get(kind, object)):
+        raise TypeError(f"{value!r} is not a JSON {kind}")
+    if kind == "tuple":
+        return tuple(_convert(item.split(",")[0], v) for v in value)
+    return dict(value) if kind == "dict" else value
+
+
+def from_section(target, section, where: str, **fixed):
+    """Call ``target`` (a config dataclass or a family function) on the JSON
+    object ``section`` at ``where`` ("" at the top), plus the values ``fixed``
+    by the caller that it takes.  Defaults come only from its signature, each
+    value is converted to its parameter's annotation (None stays None where
+    that is the default) and a nested object ``k`` fills the parameters
+    ``k_*``.  A key the target does not take or the caller fixes, a missing
+    key or a value that does not convert is a ConfigurationError naming it."""
+    prefix = f"{where}." if where else ""
+    section = {} if section is None else section
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where or 'config'}: {section!r} is not a JSON object")
+    params = inspect.signature(target).parameters
+    items = []  # (parameter, key path, value)
+    for key, value in section.items():
+        if isinstance(value, dict) and any(n.startswith(f"{key}_") for n in params):
+            items += [(f"{key}_{k}", f"{prefix}{key}.{k}", v) for k, v in value.items()]
+        else:
+            items.append((key, prefix + key, value))
+    unknown = sorted(p for name, p, _ in items if name not in params or name in fixed)
+    if unknown:
+        raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
+    kwargs = {k: v for k, v in fixed.items() if k in params}
+    for name, path, value in items:
+        try:
+            kwargs[name] = (None if value is None and params[name].default is None
+                            else _convert(params[name].annotation, value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigurationError(f"{path}: unusable value: {exc}") from exc
+    missing = [prefix + n for n, p in params.items()
+               if p.default is p.empty and n not in kwargs]
+    if missing:
+        raise ConfigurationError(f"missing config keys: {', '.join(missing)}")
+    return target(**kwargs)
 
 
 def write_fld(path, f: RealField, name: str = "field") -> None:
@@ -39,6 +91,8 @@ def read_fld(path, grid: Grid = None) -> tuple[RealField, str]:
 
     If ``grid`` is given, the file must match it exactly.
     """
+    if not os.path.isfile(path):
+        raise ConfigurationError(f"file not found: {path}")
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -72,10 +126,13 @@ def write_json(path, obj) -> None:
 
 
 def read_json(path):
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigurationError(f"file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -99,18 +156,19 @@ def save_trajectory(directory, traj, name: str = "n") -> None:
     write_json(os.path.join(directory, "index.json"), index)
 
 
-def load_trajectory(directory):
+def load_trajectory(directory, grid: Grid = None):
+    """Read a trajectory directory, whose grid must be ``grid`` if given."""
     from .limit_equations import LimitConfig, Trajectory
 
-    index = read_json(os.path.join(directory, "index.json"))
+    path = os.path.join(directory, "index.json")
+    index = read_json(path)
     states = []
-    grid = None
     for fname in index["files"]:
         f, _ = read_fld(os.path.join(directory, fname), grid)
         grid = f.grid
         states.append(f.values)
     # indexes written before the coefficients were stored get the defaults
-    cfg = LimitConfig(**index["config"])
+    cfg = from_section(LimitConfig, index["config"], f"{path}:config")
     return Trajectory(grid, np.array(index["times"]), states, cfg)
 
 
@@ -146,7 +204,8 @@ def load_hierarchy(directory):
     from .limit_equations import LimitCoefficients
     from .profiles import ProfileHierarchy
 
-    manifest = read_json(os.path.join(directory, "manifest.json"))
+    path = os.path.join(directory, "manifest.json")
+    manifest = read_json(path)
     fields, aux, source = {}, {}, None
     grid = None
     for name, fname in manifest["fields"].items():
@@ -160,9 +219,9 @@ def load_hierarchy(directory):
             fields[name] = f.values
     d = int(manifest["d"])
     # manifests written before the coefficients were stored get the defaults
-    coeffs = LimitCoefficients.for_equation("KP2" if d == 2 else "ZK",
-                                            float(manifest["V"]),
-                                            **manifest.get("coeffs", {}))
+    coeffs = from_section(LimitCoefficients.for_equation, manifest.get("coeffs", {}),
+                          f"{path}:coeffs", equation="KP2" if d == 2 else "ZK",
+                          V=float(manifest["V"]))
     return ProfileHierarchy(grid=grid, d=d, order=int(manifest["order"]),
                             time=float(manifest["time"]), coeffs=coeffs,
                             fields=fields, aux=aux, source_evolution=source)

@@ -76,7 +76,7 @@ class Grid:
         return self.wavenumbers[axis]
 
 
-def build_grid(dims, lengths) -> Grid:
+def build_grid(dims: tuple[int, ...], lengths: tuple[float, ...]) -> Grid:
     """Build a periodic grid from per-axis sample counts and physical periods.
 
     Sample counts must be even and at least 8; one to three axes.

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
+from .fldio import from_section
 from .grid import Grid, RealField
 from .limit_equations import zero_mean_soliton
 from .spectral import dealias_mask, fft_c, ifft_c
@@ -41,7 +42,7 @@ def _wrapped_offsets(grid: Grid, center) -> list[np.ndarray]:
 
 
 def gaussian_zero_mean(grid: Grid, amplitude: float = 0.3, width: float = None,
-                       center=None) -> RealField:
+                       center: tuple[float, ...] = None) -> RealField:
     """Streamwise derivative of an isotropic gaussian bump, peak ~ amplitude.
 
     Being a perfect streamwise derivative it has zero streamwise mean on
@@ -51,6 +52,8 @@ def gaussian_zero_mean(grid: Grid, amplitude: float = 0.3, width: float = None,
         width = min(grid.lengths) / 12.0
     if center is None:
         center = [L / 2.0 for L in grid.lengths]
+    if len(center) != grid.ndim:
+        raise ConfigurationError(f"center needs {grid.ndim} coordinates, got {center!r}")
     dx = _wrapped_offsets(grid, center)
     r2 = sum(d * d for d in dx)
     bump = np.exp(-r2 / width ** 2)
@@ -83,16 +86,18 @@ def kdv_soliton_family(grid: Grid, kappa: float = 0.5, V: float = 1.0) -> RealFi
     return _band_limited(field)
 
 
-def build_family(name: str, grid: Grid, V: float = 1.0, seed: int = 0,
-                 **kwargs) -> RealField:
-    """Dispatch a family by name (gaussian_zero_mean, mode_packet, kdv_soliton)."""
-    if name == "gaussian_zero_mean":
-        kwargs.pop("kappa", None)
-        return gaussian_zero_mean(grid, **kwargs)
-    if name == "mode_packet":
-        return mode_packet(grid, seed=seed, **kwargs)
-    if name == "kdv_soliton":
-        return kdv_soliton_family(grid, V=V, **kwargs)
-    raise ConfigurationError(
-        f"unknown initial family {name!r}; expected gaussian_zero_mean, "
-        f"mode_packet, or kdv_soliton")
+_FAMILIES = {"gaussian_zero_mean": gaussian_zero_mean, "mode_packet": mode_packet,
+             "kdv_soliton": kdv_soliton_family}
+
+
+def build_family(section: dict, grid: Grid, V: float = 1.0, seed: int = 0,
+                 where: str = "family") -> RealField:
+    """Build the family ``section["name"]`` (gaussian_zero_mean, the default,
+    mode_packet or kdv_soliton) from its parameters but grid, V, seed in ``section``."""
+    params = dict(section)
+    name = params.pop("name", "gaussian_zero_mean")
+    family = _FAMILIES.get(name) if isinstance(name, str) else None
+    if family is None:
+        raise ConfigurationError(f"{where}.name: unknown initial family {name!r}; "
+                                 f"expected {', '.join(_FAMILIES)}")
+    return from_section(family, params, where, grid=grid, V=V, seed=seed)

@@ -129,7 +129,7 @@ class Trajectory:
         return self.field(len(self.states) - 1)
 
     def sample(self, t: float) -> np.ndarray:
-        """Linear interpolation between stored snapshots."""
+        """Linear interpolation between stored snapshots, held outside them."""
         times = self.times
         if t <= times[0]:
             return self.states[0]
@@ -307,7 +307,15 @@ def _run_limit(n0: RealField, cfg: LimitConfig, equation: str, project=None,
         ztol = 1e-9 * max(1.0, ops.norm_c(rfft_c(source.background(0.0), n0.grid)))
         nonlinear = _linearized_nonlinearity(ops, coeffs, source, ztol)
     sym = half(symbol_array(n0.grid, coeffs, equation), n0.grid)
-    return _run_diagonal(n0.grid, n0.values, cfg, sym, nonlinear, project=project)
+    traj = _run_diagonal(n0.grid, n0.values, cfg, sym, nonlinear, project=project)
+    stored = getattr(source and source.background, "__self__", None)
+    if isinstance(stored, Trajectory):  # Trajectory.sample: log it once a solve
+        event = {"snapshot_spacing": float(np.max(np.diff(stored.times), initial=0.0)),
+                 "dt": traj.config.dt,
+                 "past_last_snapshot": bool(cfg.T > stored.times[-1] * (1.0 + 1e-9))}
+        _log.info("background_interpolated: %s", event,
+                  extra={"event": "background_interpolated", **event})
+    return traj
 
 
 def solve_kp2(n0: RealField, cfg: LimitConfig) -> Trajectory:

@@ -23,7 +23,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import ConfigurationError
 from .etdrk4 import march, plan
 from .euler_poisson import (EPIntegrator, StepperConfig, density_h2,
                             density_perturbation)
-from .fldio import write_json
+from .fldio import from_section, write_json
 from .grid import Grid, RealField, ScalingParams, build_grid
 from .initial_data import build_family
 from .limit_equations import (LimitConfig, Trajectory, solve_coupled_order2,
@@ -62,12 +62,12 @@ class StudyConfig:
 
     d: int
     ion_temperature: float
-    epsilons: tuple
+    epsilons: tuple[float, ...]
     tau0: float
     s_prime: int = 4
     truncation_order: int = 1
-    grid_dims: tuple = None
-    grid_lengths: tuple = None
+    grid_dims: tuple[int, ...] = None
+    grid_lengths: tuple[float, ...] = None
     dt: float = 5e-4
     samples: int = 10
     family: dict = field(default_factory=lambda: {"name": "gaussian_zero_mean"})
@@ -119,53 +119,20 @@ class StudyConfig:
         return build_grid(self.grid_dims, self.grid_lengths)
 
     def as_jsonable(self) -> dict:
-        return {
-            "schema_version": 1,
-            "d": self.d,
-            "ion_temperature": self.ion_temperature,
-            "epsilons": list(self.epsilons),
-            "tau0": self.tau0,
-            "s_prime": self.s_prime,
-            "truncation_order": self.truncation_order,
-            "grid": {"dims": list(self.grid_dims),
-                     "lengths": list(self.grid_lengths)},
-            "dt": self.dt,
-            "samples": self.samples,
-            "family": dict(self.family),
-            "poisson_tol": self.poisson_tol,
-            "c_cfl": self.c_cfl,
-            "seed": self.seed,
-        }
+        obj = asdict(self)
+        obj["grid"] = {"dims": obj.pop("grid_dims"), "lengths": obj.pop("grid_lengths")}
+        return {"schema_version": 1, **obj}
 
     @classmethod
     def from_jsonable(cls, obj: dict) -> "StudyConfig":
+        """The inverse of :meth:`as_jsonable`; every other key is rejected."""
         if obj.get("schema_version") != 1:
             raise ConfigurationError(
                 f"unsupported schema_version {obj.get('schema_version')!r}")
-        grid = obj.get("grid", {})
-        cfg = cls(
-            d=int(obj["d"]),
-            ion_temperature=float(obj["ion_temperature"]),
-            epsilons=tuple(obj["epsilons"]),
-            tau0=float(obj["tau0"]),
-            s_prime=int(obj.get("s_prime", 4)),
-            truncation_order=int(obj.get("truncation_order", 1)),
-            grid_dims=tuple(grid["dims"]) if "dims" in grid else None,
-            grid_lengths=tuple(grid["lengths"]) if "lengths" in grid else None,
-            dt=float(obj.get("dt", 5e-4)),
-            samples=int(obj.get("samples", 10)),
-            family=dict(obj.get("family", {"name": "gaussian_zero_mean"})),
-            poisson_tol=float(obj.get("poisson_tol", 1e-11)),
-            c_cfl=float(obj.get("c_cfl", 0.5)),
-            seed=int(obj.get("seed", 0)),
-        )
-        # every key is one that as_jsonable writes, or it is rejected
-        known = cfg.as_jsonable()
-        unknown = sorted([k for k in obj if k not in known]
-                         + [f"grid.{k}" for k in grid if k not in known["grid"]])
-        if unknown:
-            raise ConfigurationError(f"unknown study config keys: {', '.join(unknown)}")
-        return cfg
+        direct = sorted(k for k in obj if k.startswith("grid_"))  # read as grid.* only
+        if direct:
+            raise ConfigurationError(f"unknown config keys: {', '.join(direct)}")
+        return from_section(cls, {k: obj[k] for k in obj if k != "schema_version"}, "")
 
 
 @dataclass(frozen=True)
@@ -199,8 +166,7 @@ class ConvergenceTable:
                 ]) + "\n")
 
     def as_jsonable(self) -> dict:
-        return {"rows": self.rows, "fit": self.fit,
-                "uniformity": self.uniformity, "config": self.config}
+        return asdict(self)
 
 
 def compute_remainder(full, h: ProfileHierarchy, params: ScalingParams) -> RemainderState:
@@ -290,7 +256,7 @@ def fit_order(points) -> dict:
 def _profile_trajectories(cfg: StudyConfig, grid: Grid):
     """Epsilon-independent profile trajectories at the sample times."""
     V = cfg.wave_speed
-    n10 = build_family(V=V, grid=grid, seed=cfg.seed, **dict(cfg.family))
+    n10 = build_family(cfg.family, grid, V, cfg.seed)
     equation = "KP2" if cfg.d == 2 else "ZK"
     lim = LimitConfig(V=V, dt=cfg.dt, T=cfg.tau0, equation=equation,
                       snapshots=cfg.samples)

@@ -128,3 +128,172 @@ def test_lin_kp_homogeneous(tmp_path):
     out = tmp_path / "lin_out"
     assert cli_main(["lin-kp", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "index.json").exists()
+
+
+GRID3 = {"dims": [16, 16, 16], "lengths": [20.0, 20.0, 20.0]}
+EP = {"schema_version": 1, "grid": GRID2,
+      "params": {"epsilon": 0.1, "ion_temperature": 1.0}, "initial": FAMILY,
+      "T": 0.01, "snapshots": 2, "stepper": {"dt": 2e-3}}
+KP = {"schema_version": 1, "grid": GRID2, "ion_temperature": 1.0, "dt": 2e-3,
+      "T": 0.02, "snapshots": 2, "initial": FAMILY}
+ZK = dict(KP, grid=GRID3, initial=dict(FAMILY, width=2.4))
+PROFILES = {"schema_version": 1, "grid": GRID2, "ion_temperature": 1.0,
+            "order": 1, "initial": FAMILY}
+RESIDUALS = {"schema_version": 1, "hierarchy": "no-such-hierarchy", "epsilon": 0.1}
+STUDY = {"schema_version": 1, "d": 2, "ion_temperature": 1.0,
+         "epsilons": [0.2, 0.141, 0.1], "tau0": 0.04, "grid": GRID2, "dt": 2e-3,
+         "samples": 2, "family": FAMILY}
+
+
+def _set(path, value):
+    """A change to a base config: set (or, for value None, delete) ``path``."""
+    def change(cfg):
+        *outer, last = path.split(".")
+        for key in outer:
+            cfg = cfg[key]
+        if value is None:
+            del cfg[last]
+        else:
+            cfg[last] = value
+    return change
+
+
+BAD_CONFIGS = [
+    # unknown keys, at the top level and nested
+    ("ep", EP, "snapshotz", 3),
+    ("ep", EP, "grid.lenghts", [40.0, 40.0]),
+    ("ep", EP, "params.wave_speed", 1.5),
+    ("ep", EP, "stepper.poisson_tl", 1e-10),
+    ("ep", EP, "stepper.hyperviscosity", [1.0, 4]),
+    ("ep", EP, "initial.amplitud", 0.2),
+    ("ep", EP, "tail_guard", 1e-6),
+    ("kp", KP, "equation", "ZK"),
+    ("kp", KP, "background", "elsewhere"),
+    ("kp", KP, "initial.kappa", 0.7),
+    ("kp", KP, "grid.dimz", [32, 32]),
+    ("zk", ZK, "snapshotz", 2),
+    ("lin-kp", KP, "backgrund", "elsewhere"),
+    ("lin-zk", ZK, "initial.widht", 2.0),
+    ("profiles", PROFILES, "orde", 2),
+    ("profiles", PROFILES, "grid.lenghts", [40.0, 40.0]),
+    ("profiles", PROFILES, "initial.file_name", "n1.fld"),
+    ("residuals", RESIDUALS, "epsilonn", 0.1),
+    ("converge", STUDY, "sampels", 5),
+    ("converge", STUDY, "grid.lenghts", [40.0, 40.0]),
+    ("converge", STUDY, "family.widht", 2.0),
+    ("soliton-test", {}, "kapa", 0.5),
+    # missing required keys
+    ("ep", EP, "stepper.dt", None),
+    ("ep", EP, "T", None),
+    ("ep", EP, "params.epsilon", None),
+    ("kp", KP, "T", None),
+    ("zk", ZK, "grid.dims", None),
+    ("lin-kp", KP, "dt", None),
+    ("lin-zk", ZK, "T", None),
+    ("profiles", PROFILES, "grid", None),
+    ("residuals", RESIDUALS, "hierarchy", None),
+    ("converge", STUDY, "d", None),
+    ("converge", STUDY, "tau0", None),
+    # values that do not convert
+    ("ep", EP, "stepper.dt", "fast"),
+    ("ep", EP, "snapshots", 2.5),
+    ("ep", EP, "grid.dims", [32, "x"]),
+    ("kp", KP, "snapshots", "two"),
+    ("kp", KP, "initial.center", "middle"),
+    ("zk", ZK, "zk_transverse_coeff", [0.3]),
+    ("lin-kp", KP, "background", 5),
+    ("lin-zk", ZK, "V", "fast"),
+    ("profiles", PROFILES, "order", "two"),
+    ("profiles", PROFILES, "second", 5),
+    ("residuals", RESIDUALS, "epsilon", "small"),
+    ("converge", STUDY, "samples", "ten"),
+    ("converge", STUDY, "epsilons", [0.2, "x", 0.1]),
+    ("converge", STUDY, "family", "gaussian"),
+    ("soliton-test", {}, "points", "many"),
+    ("soliton-test", {}, "kappa", "half"),
+]
+
+
+@pytest.mark.parametrize("command, base, path, value", BAD_CONFIGS,
+                         ids=[f"{c}-{p}-{'missing' if v is None else v}"
+                              for c, _, p, v in BAD_CONFIGS])
+def test_bad_config_is_named_and_writes_nothing(tmp_path, capsys, command, base,
+                                                path, value):
+    cfg = json.loads(json.dumps(base))
+    _set(path, value)(cfg)
+    out = tmp_path / "out"
+    rc = cli_main([command, "--config", _write(tmp_path / "cfg.json", cfg),
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and path in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_threads_come_from_the_option_only(monkeypatch, capsys):
+    monkeypatch.setenv("DISPERLIM_THREADS", "two")
+    assert cli_main(["soliton-test"]) == 0
+
+
+def test_lin_kp_rejects_a_background_on_another_grid(tmp_path, capsys):
+    small = dict(KP, grid={"dims": [16, 16], "lengths": [40.0, 40.0]})
+    background = tmp_path / "bg"
+    assert cli_main(["kp", "--config", _write(tmp_path / "kp.json", small),
+                     "--out", str(background)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "lin"
+    cfg = _write(tmp_path / "lin.json", dict(KP, background=str(background)))
+    assert cli_main(["lin-kp", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "(16, 16)" in err and "(32, 32)" in err
+    assert not out.exists()
+
+
+def test_lin_kp_about_a_stored_background(tmp_path, capsys):
+    background = tmp_path / "bg"
+    assert cli_main(["kp", "--config", _write(tmp_path / "kp.json", KP),
+                     "--out", str(background)]) == 0
+    out = tmp_path / "lin"
+    cfg = _write(tmp_path / "lin.json", dict(KP, background=str(background)))
+    assert cli_main(["lin-kp", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "index.json").exists()
+
+
+def test_bad_trajectory_index_key_is_named(tmp_path, capsys):
+    background = tmp_path / "bg"
+    assert cli_main(["kp", "--config", _write(tmp_path / "kp.json", KP),
+                     "--out", str(background)]) == 0
+    index = json.load(open(background / "index.json"))
+    index["config"]["dtt"] = index["config"].pop("dt")
+    json.dump(index, open(background / "index.json", "w"))
+    cfg = _write(tmp_path / "lin.json", dict(KP, background=str(background)))
+    assert cli_main(["lin-kp", "--config", cfg, "--out", str(tmp_path / "lin")]) == 1
+    assert "config.dtt" in capsys.readouterr().err
+
+
+def test_profiles_order_out_of_range_is_rejected(tmp_path, capsys):
+    for bad in ({"order": 3}, {"order": 1, "second": "n2.fld"}):
+        cfg = _write(tmp_path / "prof.json", dict(PROFILES, **bad))
+        assert cli_main(["profiles", "--config", cfg,
+                         "--out", str(tmp_path / "hier")]) == 1
+        assert "order" in capsys.readouterr().err
+    assert not (tmp_path / "hier").exists()
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("kp", dict(KP, initial={"file": "missing.fld"})),
+    ("profiles", dict(PROFILES, order=2, second="missing.fld"))])
+def test_a_missing_field_file_is_named(tmp_path, capsys, command, cfg):
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", _write(tmp_path / "cfg.json", cfg),
+                     "--out", str(out)]) == 1
+    assert "missing.fld" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_center_of_another_rank_is_rejected(tmp_path, capsys):
+    cfg = dict(KP, initial=dict(FAMILY, center=[20.0]))
+    assert cli_main(["kp", "--config", _write(tmp_path / "cfg.json", cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert "center needs 2 coordinates" in capsys.readouterr().err

@@ -215,6 +215,35 @@ class TestLinearizedSolvers:
         assert np.max(np.abs(traj.final.values - expected)) < 1e-10
 
 
+    @pytest.mark.parametrize("T, past", [(0.02, False), (0.03, True)])
+    def test_stored_background_is_logged_once(self, caplog, T, past):
+        g = dl.build_grid([32, 32], [40.0, 40.0])
+        n1 = gaussian_zero_mean(g, amplitude=0.3, width=3.0)
+        background = solve_kp2(n1, LimitConfig(V=V2, dt=2e-3, T=0.02,
+                                               equation="KP2", snapshots=5))
+        src = LinearizedSource.from_trajectory(background)
+        cfg = LimitConfig(V=V2, dt=1e-3, T=T, equation="LinKP", snapshots=2)
+        with caplog.at_level(logging.INFO, logger="disperlim.limit_equations"):
+            solve_linearized_kp(src, n1, cfg)
+        events = [r for r in caplog.records
+                  if getattr(r, "event", None) == "background_interpolated"]
+        assert len(events) == 1 and events[0].name == "disperlim.limit_equations"
+        assert events[0].snapshot_spacing == pytest.approx(0.004)
+        assert events[0].dt == 1e-3
+        assert events[0].past_last_snapshot is past
+
+    def test_homogeneous_and_in_memory_backgrounds_log_nothing(self, caplog):
+        g = dl.build_grid([16, 16, 16], [20.0] * 3)
+        n1 = gaussian_zero_mean(g, amplitude=0.3, width=2.4)
+        cfg = LimitConfig(V=1.0, dt=1e-3, T=0.002, equation="LinZK", snapshots=1)
+        sources = [LinearizedSource.homogeneous(n1),
+                   LinearizedSource(grid=g, background=lambda t: (1.0 + t) * n1.values)]
+        with caplog.at_level(logging.INFO, logger="disperlim.limit_equations"):
+            for src in sources:
+                solve_linearized_zk(src, n1, cfg)
+        assert not [r for r in caplog.records if getattr(r, "event", None)]
+
+
 class TestConservedQuantities:
     def test_zero_field(self):
         g = dl.build_grid([16, 16, 16], [2 * np.pi] * 3)

@@ -1,7 +1,12 @@
+import json
 import logging
+import re
+import string
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import disperlim as dl
 from disperlim import (ConfigurationError, RealField, ScalingParams,
@@ -162,6 +167,13 @@ class TestStudyConfig:
         with pytest.raises(ConfigurationError, match="grid.lenghts, sampels"):
             StudyConfig.from_jsonable(obj)
 
+    def test_grid_fields_are_read_only_from_the_grid_object(self):
+        obj = StudyConfig(d=2, ion_temperature=1.0, epsilons=(0.2, 0.1, 0.05),
+                          tau0=0.5).as_jsonable()
+        obj["grid_dims"] = [32, 32]
+        with pytest.raises(ConfigurationError, match="unknown config keys: grid_dims"):
+            StudyConfig.from_jsonable(obj)
+
     def test_schema_version_guard(self):
         obj = StudyConfig(d=2, ion_temperature=1.0, epsilons=(0.2, 0.1, 0.05),
                           tau0=0.5).as_jsonable()
@@ -227,3 +239,59 @@ class TestMiniStudy:
         assert events == [("disperlim.study", 3e-3, pytest.approx(0.0025, rel=1e-14))]
         assert table.config["dt"] == events[0][2]
         assert [r["time"] for r in table.rows[:3]] == [0.0, 0.005, 0.01]
+
+
+# ---------------------------------------------------------------------------
+# the JSON form of a study config, over random valid configs
+
+_FAMILIES = [{"name": "gaussian_zero_mean", "amplitude": 0.3, "width": 3.0},
+             {"name": "gaussian_zero_mean", "center": [1.0, 2.0]},
+             {"name": "mode_packet", "n_modes": 2},
+             {"name": "kdv_soliton", "kappa": 0.4}]
+
+
+@st.composite
+def study_configs(draw):
+    d = draw(st.sampled_from((2, 3)))
+    eps = sorted(set(draw(st.lists(st.floats(0.01, 0.5), min_size=3, max_size=6))),
+                 reverse=True)
+    assume(len(eps) >= 3)
+    size = st.lists(st.integers(4, 32).map(lambda n: 2 * n), min_size=d, max_size=d)
+    return StudyConfig(
+        d=d, ion_temperature=draw(st.floats(0.0 if d == 3 else 0.01, 4.0)),
+        epsilons=tuple(eps), tau0=draw(st.floats(1e-3, 2.0)),
+        s_prime=draw(st.integers(4, 8)), truncation_order=draw(st.sampled_from((1, 2))),
+        grid_dims=draw(st.none() | size),
+        grid_lengths=draw(st.none() | st.lists(st.floats(1.0, 100.0), min_size=d,
+                                               max_size=d)),
+        dt=draw(st.floats(1e-5, 1e-2)), samples=draw(st.integers(1, 30)),
+        family=dict(draw(st.sampled_from(_FAMILIES))),
+        poisson_tol=draw(st.floats(1e-13, 1e-6)), c_cfl=draw(st.floats(0.1, 1.0)),
+        seed=draw(st.integers(0, 2 ** 31)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=study_configs())
+def test_json_form_round_trips(cfg):
+    text = json.dumps(cfg.as_jsonable())
+    assert StudyConfig.from_jsonable(json.loads(text)) == cfg
+    assert StudyConfig.from_jsonable(cfg.as_jsonable()) == cfg
+
+
+_FAMILY_PARAMETERS = {"name", "amplitude", "width", "center", "n_modes", "kappa"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=study_configs(), where=st.sampled_from(["", "grid", "family"]),
+       key=st.text(string.ascii_lowercase + "_", min_size=1, max_size=12),
+       value=st.integers() | st.text(max_size=5) | st.lists(st.integers(), max_size=2))
+def test_an_extra_key_is_named(cfg, where, key, value):
+    obj = cfg.as_jsonable()
+    obj.update(tau0=obj["dt"], samples=1)  # a short study, should a key get through
+    section = obj[where] if where else obj
+    assume(key not in section and not (where == "family" and key in _FAMILY_PARAMETERS))
+    section[key] = value
+    name = re.escape(f"{where}.{key}" if where else key)
+    with pytest.raises(ConfigurationError, match=rf"unknown config keys: (.*, )?{name}(,|$)"):
+        # the family's keys are read where the study builds it, its first step
+        run_convergence_study(StudyConfig.from_jsonable(obj))
