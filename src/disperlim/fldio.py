@@ -74,6 +74,18 @@ def from_section(target, section, where: str, **fixed):
     return target(**kwargs)
 
 
+def _entry(section: dict, key: str, where: str, kind: str):
+    """``section[key]`` of the index or manifest at ``where``, converted to
+    ``kind`` as :func:`from_section` converts; a missing key or a value that
+    does not convert is a ConfigurationError naming it."""
+    if key not in section:
+        raise ConfigurationError(f"missing config keys: {where}:{key}")
+    try:
+        return _convert(kind, section[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{where}:{key}: unusable value: {exc}") from exc
+
+
 def write_fld(path, f: RealField, name: str = "field") -> None:
     header = {
         "format": _FORMAT,
@@ -162,14 +174,16 @@ def load_trajectory(directory, grid: Grid = None):
 
     path = os.path.join(directory, "index.json")
     index = read_json(path)
+    times = _entry(index, "times", path, "tuple[float, ...]")
+    config = _entry(index, "config", path, "dict")
     states = []
-    for fname in index["files"]:
+    for fname in _entry(index, "files", path, "tuple[str, ...]"):
         f, _ = read_fld(os.path.join(directory, fname), grid)
         grid = f.grid
         states.append(f.values)
     # indexes written before the coefficients were stored get the defaults
-    cfg = from_section(LimitConfig, index["config"], f"{path}:config")
-    return Trajectory(grid, np.array(index["times"]), states, cfg)
+    cfg = from_section(LimitConfig, config, f"{path}:config")
+    return Trajectory(grid, np.array(times), states, cfg)
 
 
 def save_hierarchy(directory, h) -> None:
@@ -206,9 +220,11 @@ def load_hierarchy(directory):
 
     path = os.path.join(directory, "manifest.json")
     manifest = read_json(path)
+    d, order = (_entry(manifest, key, path, "int") for key in ("d", "order"))
+    V, time = (_entry(manifest, key, path, "float") for key in ("V", "time"))
     fields, aux, source = {}, {}, None
     grid = None
-    for name, fname in manifest["fields"].items():
+    for name, fname in _entry(manifest, "fields", path, "dict").items():
         f, _ = read_fld(os.path.join(directory, fname), grid)
         grid = f.grid
         if name == "source_evolution":
@@ -217,11 +233,8 @@ def load_hierarchy(directory):
             aux[name[4:]] = f.values
         else:
             fields[name] = f.values
-    d = int(manifest["d"])
     # manifests written before the coefficients were stored get the defaults
     coeffs = from_section(LimitCoefficients.for_equation, manifest.get("coeffs", {}),
-                          f"{path}:coeffs", equation="KP2" if d == 2 else "ZK",
-                          V=float(manifest["V"]))
-    return ProfileHierarchy(grid=grid, d=d, order=int(manifest["order"]),
-                            time=float(manifest["time"]), coeffs=coeffs,
+                          f"{path}:coeffs", equation="KP2" if d == 2 else "ZK", V=V)
+    return ProfileHierarchy(grid=grid, d=d, order=order, time=time, coeffs=coeffs,
                             fields=fields, aux=aux, source_evolution=source)

@@ -44,7 +44,8 @@ def solve_poisson_values(n: np.ndarray, grid: Grid, params: ScalingParams,
     """Raw-array Poisson solve; returns ``(phi, info)``.
 
     ``info`` carries ``residuals`` (Newton history, absolute L2),
-    ``newton_iterations`` and ``inner_sweeps``.
+    ``newton_iterations``, ``inner_sweeps`` and ``spectrum``, the
+    :func:`~disperlim.spectral.rfft_c` of the returned ``phi``.
     """
     if np.min(n) <= 0.0:
         raise NumericalError("density must be positive for the potential solve")
@@ -61,8 +62,8 @@ def solve_poisson_values(n: np.ndarray, grid: Grid, params: ScalingParams,
     inner_total = 0
     for iteration in range(max_newton + 1):
         w = np.exp(phi)
-        lap = irfft_c(-ksq * rfft_c(phi, grid), grid)
-        r = params.epsilon * lap - w + n
+        spectrum = rfft_c(phi, grid)
+        r = params.epsilon * irfft_c(-ksq * spectrum, grid) - w + n
         rnorm = _l2(r, grid)
         if not math.isfinite(rnorm):
             raise NumericalError("potential solve produced a non-finite iterate "
@@ -70,9 +71,10 @@ def solve_poisson_values(n: np.ndarray, grid: Grid, params: ScalingParams,
         residuals.append(rnorm)
         if rnorm <= target:
             return phi, {"residuals": residuals, "newton_iterations": iteration,
-                         "inner_sweeps": inner_total}
+                         "inner_sweeps": inner_total, "spectrum": spectrum}
         if iteration == max_newton:
             break
+        del spectrum  # returned only with the converged phi; not held by the sweeps
 
         # inner: (eps*lap_w - diag(w)) delta = -r, preconditioned Richardson.
         # After an update, the inner residual equals

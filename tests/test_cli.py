@@ -297,3 +297,35 @@ def test_a_center_of_another_rank_is_rejected(tmp_path, capsys):
     assert cli_main(["kp", "--config", _write(tmp_path / "cfg.json", cfg),
                      "--out", str(tmp_path / "out")]) == 1
     assert "center needs 2 coordinates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["d", "V", "order", "time", "fields"])
+def test_a_manifest_key_missing_is_named(tmp_path, capsys, key):
+    hier = tmp_path / "hier"
+    assert cli_main(["profiles", "--config", _write(tmp_path / "prof.json", PROFILES),
+                     "--out", str(hier)]) == 0
+    manifest = json.load(open(hier / "manifest.json"))
+    del manifest[key]
+    _write(hier / "manifest.json", manifest)
+    capsys.readouterr()
+    cfg = _write(tmp_path / "res.json", dict(RESIDUALS, hierarchy=str(hier)))
+    assert cli_main(["residuals", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"manifest.json:{key}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["files", "times", "config"])
+def test_a_trajectory_index_key_missing_is_named(tmp_path, capsys, key):
+    background = tmp_path / "bg"
+    assert cli_main(["kp", "--config", _write(tmp_path / "kp.json", KP),
+                     "--out", str(background)]) == 0
+    index = json.load(open(background / "index.json"))
+    del index[key]
+    _write(background / "index.json", index)
+    capsys.readouterr()
+    cfg = _write(tmp_path / "lin.json", dict(KP, background=str(background)))
+    assert cli_main(["lin-kp", "--config", cfg, "--out", str(tmp_path / "lin")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"index.json:{key}" in err
+    assert "Traceback" not in err

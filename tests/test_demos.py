@@ -1,5 +1,5 @@
-"""The demos that exercise the spectral toolbox and the profile layer run to
-completion."""
+"""The demos that exercise the spectral toolbox, the potential solve, the full
+flow against linear theory and the profile layer run to completion."""
 
 import os
 import subprocess
@@ -11,7 +11,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("demo", ["01_spectral_toolbox.py", "05_profile_hierarchy.py"])
+@pytest.mark.parametrize("demo", ["01_spectral_toolbox.py", "02_potential_solve.py",
+                                  "04_full_flow_vs_linear_theory.py",
+                                  "05_profile_hierarchy.py"])
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=ROOT,

@@ -6,11 +6,12 @@ import pytest
 from scipy.linalg import expm
 
 import disperlim as dl
+from disperlim import euler_poisson
 from disperlim import (ConfigurationError, EPState, NumericalError, RealField,
                        ScalingParams, StepperConfig, ep_rhs, linearized_symbol,
                        run_ep, step_ep, solve_poisson)
 from disperlim.euler_poisson import EPIntegrator
-from disperlim.spectral import fft_c
+from disperlim.spectral import fft_c, half
 
 
 def _rest_state(grid, params):
@@ -269,3 +270,93 @@ class TestRun:
         assert 1e-8 < event.tail_fraction < 0.1
         assert log.records[1]["tail_damping_enabled"] is True
         assert "tail_damping_enabled" not in log.records[2]
+
+
+class TestBudgets:
+    """Work counted by wrapping the engine's own bindings."""
+
+    def test_a_cold_3d_tendency_transforms_at_most_8_fields_in_7_out(self, grid3d,
+                                                                     monkeypatch):
+        # beyond the potential solve's own transforms, which run on the
+        # bindings of disperlim.poisson
+        p = ScalingParams(epsilon=0.1, ion_temperature=0.0, dim=3)
+        state = _single_mode_state(grid3d, p, 0.05, (1, 1, 2))
+        xs = grid3d.meshgrid()
+        state = EPState(n=state.n, u=[RealField(grid3d, 0.01 * np.sin(x)) for x in xs],
+                        phi=state.phi, time=0.0, params=p)
+        engine = EPIntegrator(grid3d, p, StepperConfig(dt=1e-3))
+        stack = half(engine.to_stack(state), grid3d)
+        fields = {"irfft_c": 0, "rfft_c": 0}
+
+        def counted(name):
+            transform = getattr(euler_poisson, name)
+
+            def wrapper(values, grid):
+                fields[name] += int(np.prod(values.shape[:-grid.ndim]))
+                return transform(values, grid)
+            return wrapper
+
+        for name in fields:
+            monkeypatch.setattr(euler_poisson, name, counted(name))
+        engine.tendency(stack, state.phi.values)
+        assert 0 < fields["irfft_c"] <= 8 and 0 < fields["rfft_c"] <= 7
+
+    def test_eigh_sees_at_most_a_quarter_of_the_modes_at_32_cubed(self, monkeypatch):
+        matrices = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            matrices.append(int(np.prod(a.shape[:-2])))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        g = dl.build_grid([32] * 3, [20.0] * 3)
+        p = ScalingParams(epsilon=0.1, ion_temperature=0.0, dim=3)
+        EPIntegrator(g, p, StepperConfig(dt=1e-3))
+        assert 0 < sum(matrices) <= 32 * 32 * 17 // 4
+
+    def test_ep_rhs_builds_no_eigenbasis(self, grid3d, monkeypatch):
+        def refuse(*_):
+            raise AssertionError("ep_rhs built an eigenbasis or stepper tables")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(euler_poisson, "DiagonalETDRK4", refuse)
+        p = ScalingParams(epsilon=0.1, ion_temperature=0.0, dim=3)
+        dn, du = ep_rhs(_single_mode_state(grid3d, p, 0.05, (1, 1, 2)))
+        assert dn.max_abs() > 0 and len(du) == 3
+
+
+class TestTelemetry:
+    def test_records_carry_the_work_of_their_interval(self, grid2d):
+        p = ScalingParams(epsilon=0.1, ion_temperature=1.0, dim=2)
+        state = _single_mode_state(grid2d, p, 0.01, (1, 0))
+        dt = 2e-3
+        _, log = run_ep(state, 10 * dt, StepperConfig(dt=dt), snapshots=2)
+        first, *later = log.records
+        assert (first["stages"], first["newton_iterations"], first["inner_sweeps"]) == (0, 0, 0)
+        # five steps of four stages per interval
+        assert [r["stages"] for r in later] == [20, 20]
+        for r in later:
+            # each stage solves, and so does the consistency solve of the interval
+            assert r["newton_iterations"] >= 1
+            assert r["inner_sweeps"] >= r["newton_iterations"]
+
+    def test_engine_totals_count_every_solve(self, grid2d, monkeypatch):
+        solves = []
+        solve = euler_poisson.solve_poisson_values
+
+        def counted(*args, **kwargs):
+            phi, info = solve(*args, **kwargs)
+            solves.append(info)
+            return phi, info
+
+        monkeypatch.setattr(euler_poisson, "solve_poisson_values", counted)
+        p = ScalingParams(epsilon=0.1, ion_temperature=1.0, dim=2)
+        state = _single_mode_state(grid2d, p, 0.05, (1, 1))
+        engine = EPIntegrator(grid2d, p, StepperConfig(dt=1e-3))
+        engine.advance(engine.to_stack(state), state.phi.values, 3)
+        assert len(solves) == 13
+        assert engine.stats == {
+            "stages": 12,
+            "newton_iterations": sum(i["newton_iterations"] for i in solves),
+            "inner_sweeps": sum(i["inner_sweeps"] for i in solves)}
